@@ -9,9 +9,7 @@
 //! Every experiment prints a plain-text table whose rows correspond to the
 //! series of the paper's figures.
 
-use fdb_bench::{
-    exp1, exp2, exp3, exp4, pr1, pr10, pr2, pr3, pr4, pr5, pr6, pr7, pr8, pr9, report, Scale,
-};
+use fdb_bench::{exp1, exp2, exp3, exp4, pr1, pr10, pr4, pr6, pr7, pr8, pr9, report, Scale};
 use std::time::Instant;
 
 /// Shared driver of the PR 2+ benchmarks: run at the requested scale, print
@@ -100,43 +98,6 @@ fn main() {
         run_bench_pr1(args.iter().any(|a| a == "--baseline"), smoke);
         return;
     }
-    if which.contains(&"bench-pr2") {
-        // Arena-native structural operators vs the thaw path, plus direct
-        // construction vs the forest path.
-        run_bench(
-            "bench-pr2",
-            "BENCH_PR2.json",
-            smoke,
-            |smoke| {
-                pr2::run(if smoke {
-                    pr2::Pr2Scale::Smoke
-                } else {
-                    pr2::Pr2Scale::Full
-                })
-            },
-            pr2::render_table,
-            pr2::render_json,
-        );
-        return;
-    }
-    if which.contains(&"bench-pr3") {
-        // Fused single-pass f-plan execution vs step-wise operator runs.
-        run_bench(
-            "bench-pr3",
-            "BENCH_PR3.json",
-            smoke,
-            |smoke| {
-                pr3::run(if smoke {
-                    pr3::Pr3Scale::Smoke
-                } else {
-                    pr3::Pr3Scale::Full
-                })
-            },
-            pr3::render_table,
-            pr3::render_json,
-        );
-        return;
-    }
     if which.contains(&"bench-pr4") {
         // Factorised aggregation vs materialise-then-aggregate, and the
         // arena pass vs the fused overlay pass.
@@ -153,25 +114,6 @@ fn main() {
             },
             pr4::render_table,
             pr4::render_json,
-        );
-        return;
-    }
-    if which.contains(&"bench-pr5") {
-        // Whole-plan fusion vs PR 3 segmented execution on barrier-bearing
-        // plans, plus select-then-aggregate sinks.
-        run_bench(
-            "bench-pr5",
-            "BENCH_PR5.json",
-            smoke,
-            |smoke| {
-                pr5::run(if smoke {
-                    pr5::Pr5Scale::Smoke
-                } else {
-                    pr5::Pr5Scale::Full
-                })
-            },
-            pr5::render_table,
-            pr5::render_json,
         );
         return;
     }

@@ -17,13 +17,12 @@
 //!   (and an AVX2 machine) to price the vectorised paths.  The committed
 //!   `BENCH_PR10.json` is generated from a `--features simd` build.
 //!
-//! Rows are categorised `scan` / `filter` / `probe` / `aggregate`; the
+//! Rows are categorised `scan` / `filter` / `aggregate`; the
 //! headline number is the geometric-mean speedup of `simd` over `aos`
 //! across the scan and filter rows.  Sub-1.0 simd-vs-soa ratios are
 //! committed as-is: the `tiny_union_keep_masks` row sweeps three-entry
 //! blocks that fall below the kernels' dispatch thresholds (the win there
-//! is the layout, not the lanes), and the `find_value_probes` row prices
-//! the vectorised probe the engine measured and rejected.
+//! is the layout, not the lanes).
 //!
 //! The `experiments bench-pr10` subcommand prints the table and serialises
 //! the rows; `--scale smoke` shrinks the inputs so CI can run it as a
@@ -49,9 +48,9 @@ struct AosEntry {
 pub struct Pr10Row {
     /// Workload name (stable across refactors).
     pub name: String,
-    /// Row category: `scan`, `filter`, `probe` or `aggregate`.
+    /// Row category: `scan`, `filter` or `aggregate`.
     pub category: String,
-    /// Values scanned (or probes issued) per timed repetition.
+    /// Values scanned per timed repetition.
     pub elems: u64,
     /// Best wall time of the interleaved-record baseline.
     pub aos_seconds: f64,
@@ -100,8 +99,6 @@ struct Dims {
     filter_len: usize,
     /// Number of three-entry blocks in the tiny-union sweep.
     tiny_blocks: usize,
-    /// Probes per timed repetition.
-    probes: usize,
     /// Average run length of the grouped stream.
     run_len: u64,
     /// Timed measurements (best one reported).
@@ -118,7 +115,6 @@ impl Pr10Scale {
                 filter_blocks: 16,
                 filter_len: 256,
                 tiny_blocks: 1 << 10,
-                probes: 1 << 10,
                 run_len: 8,
                 measurements: 2,
                 reps: 2,
@@ -128,7 +124,6 @@ impl Pr10Scale {
                 filter_blocks: 256,
                 filter_len: 4096,
                 tiny_blocks: 1 << 16,
-                probes: 1 << 15,
                 run_len: 16,
                 measurements: 5,
                 reps: 10,
@@ -312,55 +307,6 @@ fn bench_tiny_filter(d: Dims) -> Pr10Row {
     )
 }
 
-/// `find_value` probes (absorb's semi-join, the overlay's point lookups).
-///
-/// The simd column prices [`kernel::find_value_vector`], the *rejected*
-/// vectorised probe: it loses to the scalar binary search at every slice
-/// length, which is exactly why the engine's dispatched `find_value` stays
-/// scalar (see the kernel docs).  The row is kept so the negative result
-/// stays published and re-measured.
-fn bench_probes(d: Dims) -> Pr10Row {
-    let (values, aos) = sorted_block(d.block.min(1 << 16));
-    let targets: Vec<Value> = (0..d.probes as u64)
-        // Half hits (multiples of 3 plus 1), half misses, spread across the
-        // whole block.
-        .map(|i| Value::new((i * 7919) % (values.len() as u64 * 3)))
-        .collect();
-    for &t in targets.iter().take(64) {
-        assert_eq!(
-            kernel::find_value(&values, t),
-            values.binary_search(&t).ok()
-        );
-        assert_eq!(
-            kernel::find_value_vector(&values, t),
-            values.binary_search(&t).ok()
-        );
-    }
-    let aos_s = best_seconds(d, || {
-        for &t in &targets {
-            std::hint::black_box(aos.binary_search_by(|rec| rec.value.cmp(&t)).ok());
-        }
-    });
-    let soa_s = best_seconds(d, || {
-        for &t in &targets {
-            std::hint::black_box(kernel::find_value_scalar(&values, t));
-        }
-    });
-    let simd_s = best_seconds(d, || {
-        for &t in &targets {
-            std::hint::black_box(kernel::find_value_vector(&values, t));
-        }
-    });
-    row(
-        "find_value_probes",
-        "probe",
-        d.probes as u64,
-        aos_s,
-        soa_s,
-        simd_s,
-    )
-}
-
 /// The priority cursor's run-boundary detection over a grouped stream.
 fn bench_run_boundaries(d: Dims) -> Pr10Row {
     let (values, aos) = grouped_block(d.block, d.run_len);
@@ -452,7 +398,6 @@ pub fn run(scale: Pr10Scale) -> Pr10Report {
         bench_run_boundaries(d),
         bench_filter_masks(d),
         bench_tiny_filter(d),
-        bench_probes(d),
         bench_aggregate_fold(d),
     ];
     let scan_filter: Vec<&Pr10Row> = rows
@@ -541,9 +486,9 @@ mod tests {
     #[test]
     fn smoke_scale_runs_and_serialises() {
         let report = run(Pr10Scale::Smoke);
-        assert_eq!(report.rows.len(), 6);
+        assert_eq!(report.rows.len(), 5);
         let categories: Vec<&str> = report.rows.iter().map(|r| r.category.as_str()).collect();
-        for want in ["scan", "filter", "probe", "aggregate"] {
+        for want in ["scan", "filter", "aggregate"] {
             assert!(categories.contains(&want), "missing category {want}");
         }
         assert!(report.scan_filter_geomean.is_finite() && report.scan_filter_geomean > 0.0);

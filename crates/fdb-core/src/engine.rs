@@ -79,24 +79,14 @@ pub struct EvalStats {
     pub plan: FPlan,
     /// Number of optimiser states explored.
     pub explored_states: usize,
-    /// Number of fused overlay programs the plan executed as (0 or 1 since
-    /// whole-plan fusion — the entire plan compiles into one program when it
-    /// would pay more than one arena pass step-wise; see
-    /// `fdb_frep::ops::fuse`).
+    /// Number of fused overlay programs the plan executed as: 1 for every
+    /// non-empty plan (the whole plan compiles into one program; see
+    /// `fdb_frep::ops::fuse`), 0 for the empty plan.
     pub fused_segments: usize,
     /// Number of aggregate evaluations folded directly over the fused
     /// overlay (no arena emission at all); 0 for non-aggregate queries and
     /// for empty-plan aggregates, which run as plain arena passes.
     pub aggregates_on_overlay: usize,
-    /// Former fusion barriers (constant selections, projections) executed
-    /// *inside* a fused overlay program instead of as standalone arena
-    /// passes — the PR 5 whole-plan fusion win.
-    pub barriers_fused: usize,
-    /// Intermediate arenas fused execution skipped relative to the
-    /// step-wise path (a lower bound: one per plan operator beyond the
-    /// single emission; for aggregate sinks every operator's arena,
-    /// including the final one, is skipped).
-    pub arenas_skipped: usize,
     /// Queries this statistics record covers: 1 for a single evaluation;
     /// serving-layer reports that aggregate a batch sum the records and
     /// report the total here.
@@ -123,12 +113,12 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
-    /// The execution counters as aligned `name value` rows, with the
-    /// fused-segment/overlay-aggregate and barrier/arena counters on shared
-    /// rows.  Reports that show per-evaluation statistics (e.g. the
-    /// `bench-pr4` table) print this instead of improvising their own lines.
+    /// The execution counters as aligned `name value` rows, with related
+    /// counters on shared rows.  Reports that show per-evaluation
+    /// statistics (e.g. the `bench-pr4` table) print this instead of
+    /// improvising their own lines.
     pub fn counters_table(&self) -> String {
-        let rows: [(&str, String); 10] = [
+        let rows: [(&str, String); 9] = [
             ("optimisation time", format!("{:?}", self.optimisation_time)),
             ("execution time", format!("{:?}", self.execution_time)),
             ("plan cost s(f)", format!("{:.2}", self.plan_cost)),
@@ -138,10 +128,6 @@ impl EvalStats {
             (
                 "fused segments / overlay aggregates",
                 format!("{} / {}", self.fused_segments, self.aggregates_on_overlay),
-            ),
-            (
-                "barriers fused / arenas skipped",
-                format!("{} / {}", self.barriers_fused, self.arenas_skipped),
             ),
             (
                 "queries served / cache hits / misses / evictions",
@@ -178,8 +164,6 @@ impl EvalStats {
         self.explored_states += other.explored_states;
         self.fused_segments += other.fused_segments;
         self.aggregates_on_overlay += other.aggregates_on_overlay;
-        self.barriers_fused += other.barriers_fused;
-        self.arenas_skipped += other.arenas_skipped;
         self.queries_served += other.queries_served;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
@@ -261,33 +245,6 @@ fn plan_head_chain(tree: &fdb_ftree::FTree, attrs: &[AttrId]) -> Result<HeadDeci
             on_chain: false,
         },
     })
-}
-
-/// Fusion counters `(fused_segments, barriers_fused, arenas_skipped)` of a
-/// simplified plan about to execute through `FPlan::execute_presimplified`:
-/// when the plan fuses, the whole op list runs as one overlay program, its
-/// barriers included, and every intermediate arena but the single emission
-/// is skipped.
-fn fusion_counters(plan: &FPlan) -> (usize, usize, usize) {
-    let fused = plan.fuses();
-    (
-        usize::from(fused),
-        if fused { plan.barrier_count() } else { 0 },
-        plan.arenas_skipped(),
-    )
-}
-
-/// Fusion counters of a simplified plan consumed by the aggregate sink.
-/// When the sink ran on the overlay (`on_overlay`), the whole plan —
-/// however short — executed as one fused overlay program and **every**
-/// operator's output arena was skipped: the sink folds the aggregate over
-/// the overlay and never emits, so even a single-operator plan counts one
-/// fused program and one skipped arena.
-fn aggregate_fusion_counters(plan: &FPlan, on_overlay: bool) -> (usize, usize, usize) {
-    if !on_overlay {
-        return (0, 0, 0);
-    }
-    (1, plan.barrier_count(), plan.len())
 }
 
 /// `(chain_heads, flat_head_fallbacks)` counter values for a grouped
@@ -460,11 +417,9 @@ impl FdbEngine {
             let keep: BTreeSet<AttrId> = proj.iter().copied().collect();
             plan.push(FPlanOp::Project(keep));
         }
-        // The flat path's plan holds at most the final projection — which,
-        // being internally multi-pass (leaf removals, swap-downs), still
-        // compiles into one overlay program.
+        // The flat path's plan holds at most the final projection.
         let simplified = plan.simplified(result.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
+        let fused_segments = usize::from(simplified.fuses());
         simplified.execute_presimplified(&mut result)?;
         let execution_time = exec_start.elapsed();
 
@@ -481,8 +436,6 @@ impl FdbEngine {
                 explored_states: search.explored_states,
                 fused_segments,
                 aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
                 queries_served: 1,
                 plan_cache_hits: 0,
                 plan_cache_misses: 0,
@@ -500,13 +453,10 @@ impl FdbEngine {
     /// shrink the representation), then the optimised restructuring/selection
     /// plan for the equality conditions, and the projection last — the
     /// operator ordering FDB uses (Section 4).  The plan does not execute
-    /// operator by operator, and since PR 5 it is not segmented at
-    /// selections or projections either: after peephole simplification the
-    /// **whole plan** compiles into one overlay program
-    /// (`fdb_frep::ops::fuse`) that emits a single arena, so a k-operator
-    /// plan — barriers included — pays one arena copy instead of k.
-    /// [`EvalStats::barriers_fused`] and [`EvalStats::arenas_skipped`]
-    /// report the win.
+    /// operator by operator: after peephole simplification the **whole
+    /// plan** — selections and projections included — compiles into one
+    /// overlay program (`fdb_frep::ops::fuse`) that emits a single arena, so
+    /// a k-operator plan pays one arena copy instead of k.
     pub fn evaluate_factorised(&self, input: &FRep, query: &FactorisedQuery) -> Result<EvalOutput> {
         self.evaluate_factorised_inner(input, query, None, &ExecCtx::unlimited())
     }
@@ -572,7 +522,7 @@ impl FdbEngine {
         // Simplify once: the fusion counters are read off the same op list
         // that actually executes, so the stats match what really fused.
         let simplified = plan.simplified(input.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
+        let fused_segments = usize::from(simplified.fuses());
         let exec_start = Instant::now();
         let mut result = input.clone();
         simplified.execute_presimplified_ctx(&mut result, ctx)?;
@@ -591,8 +541,6 @@ impl FdbEngine {
                 explored_states: optimised.explored_states,
                 fused_segments,
                 aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
                 queries_served: 1,
                 plan_cache_hits: resolved.cache_hits,
                 plan_cache_misses: resolved.cache_misses,
@@ -665,7 +613,7 @@ impl FdbEngine {
         }
 
         let simplified = plan.simplified(rep.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
+        let fused_segments = usize::from(simplified.fuses());
         simplified.execute_presimplified(&mut rep)?;
         let execution_time = exec_start.elapsed();
 
@@ -682,8 +630,6 @@ impl FdbEngine {
                 explored_states: optimised.explored_states,
                 fused_segments,
                 aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
                 queries_served: 1,
                 plan_cache_hits: 0,
                 plan_cache_misses: 0,
@@ -747,8 +693,7 @@ impl FdbEngine {
             )
         };
         let execution_time = exec_start.elapsed();
-        let (fused_segments, barriers_fused, arenas_skipped) =
-            aggregate_fusion_counters(&simplified, on_overlay);
+        let fused_segments = usize::from(on_overlay);
         let (chain_heads, flat_head_fallbacks) = head_strategy_counters(head, on_chain);
 
         Ok(AggregateOutput {
@@ -764,8 +709,6 @@ impl FdbEngine {
                 explored_states: search.explored_states,
                 fused_segments,
                 aggregates_on_overlay: usize::from(on_overlay),
-                barriers_fused,
-                arenas_skipped,
                 queries_served: 1,
                 plan_cache_hits: 0,
                 plan_cache_misses: 0,
@@ -787,8 +730,8 @@ impl FdbEngine {
     /// filters.  **No arena is emitted or cloned at any point**; a
     /// selection-then-aggregate query reads the input arena in place.
     /// [`EvalStats::aggregates_on_overlay`] reports whether that fast path
-    /// was taken (only the empty plan falls back to a plain arena pass) and
-    /// [`EvalStats::arenas_skipped`] counts the passes avoided.  When the
+    /// was taken (only the empty plan falls back to a plain arena pass).
+    /// When the
     /// head groups by an attribute that the plan's final tree does not put
     /// at a root, the engine appends the lifting swaps
     /// ([`lift_group_to_root`]) so root-attribute grouping works on any
@@ -894,8 +837,7 @@ impl FdbEngine {
             )
         };
         let execution_time = exec_start.elapsed();
-        let (fused_segments, barriers_fused, arenas_skipped) =
-            aggregate_fusion_counters(&simplified, on_overlay);
+        let fused_segments = usize::from(on_overlay);
         let (chain_heads, flat_head_fallbacks) = head_strategy_counters(head, on_chain);
 
         let result_tree_cost = s_cost(&pre_lift_tree)?;
@@ -912,8 +854,6 @@ impl FdbEngine {
                 explored_states: optimised.explored_states,
                 fused_segments,
                 aggregates_on_overlay: usize::from(on_overlay),
-                barriers_fused,
-                arenas_skipped,
                 queries_served: 1,
                 plan_cache_hits: resolved.cache_hits,
                 plan_cache_misses: resolved.cache_misses,
@@ -955,7 +895,7 @@ impl FdbEngine {
         let decision = plan_head_chain(&pre_order_tree, &query.order_by)?;
         plan.extend(decision.plan);
         let simplified = plan.simplified(result.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
+        let fused_segments = usize::from(simplified.fuses());
         simplified.execute_presimplified(&mut result)?;
         let (rows, strategy) = fdb_frep::materialize_ordered(&result, &query.order_by)?;
         let execution_time = exec_start.elapsed();
@@ -972,8 +912,6 @@ impl FdbEngine {
                 explored_states: search.explored_states,
                 fused_segments,
                 aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
                 queries_served: 1,
                 plan_cache_hits: 0,
                 plan_cache_misses: 0,
@@ -1072,7 +1010,7 @@ impl FdbEngine {
         plan.extend(decision.plan);
 
         let simplified = plan.simplified(input.tree());
-        let (fused_segments, barriers_fused, arenas_skipped) = fusion_counters(&simplified);
+        let fused_segments = usize::from(simplified.fuses());
         let exec_start = Instant::now();
         let mut result = input.clone();
         simplified.execute_presimplified_ctx(&mut result, ctx)?;
@@ -1091,8 +1029,6 @@ impl FdbEngine {
                 explored_states: optimised.explored_states,
                 fused_segments,
                 aggregates_on_overlay: 0,
-                barriers_fused,
-                arenas_skipped,
                 queries_served: 1,
                 plan_cache_hits: resolved.cache_hits,
                 plan_cache_misses: resolved.cache_misses,
@@ -1411,13 +1347,8 @@ mod tests {
             "{} / {}",
             agg.stats.fused_segments, agg.stats.aggregates_on_overlay
         )));
-        // The whole plan ran on the overlay: every operator's arena was
-        // skipped, none was emitted.
-        assert!(
-            agg.stats.arenas_skipped > 0,
-            "aggregate sink skips every arena pass"
-        );
-        assert_eq!(agg.stats.arenas_skipped, agg.stats.plan.len());
+        // The whole plan ran as one overlay program and emitted no arena.
+        assert_eq!(agg.stats.fused_segments, 1);
     }
 
     #[test]
@@ -1455,10 +1386,13 @@ mod tests {
             agg.stats.fused_segments, 1,
             "a single-selection aggregate plan still runs as one overlay program"
         );
-        assert_eq!(agg.stats.barriers_fused, 1, "the selection folded in");
         assert!(
-            agg.stats.arenas_skipped > 0,
-            "zero intermediate arenas were emitted"
+            agg.stats
+                .plan
+                .ops
+                .iter()
+                .any(|op| matches!(op, FPlanOp::SelectConst { .. })),
+            "the selection folded in"
         );
     }
 
@@ -1484,11 +1418,13 @@ mod tests {
             .unwrap();
         out.result.validate().unwrap();
         assert_eq!(out.stats.fused_segments, 1, "one whole-plan program");
+        let ops = &out.stats.plan.ops;
         assert!(
-            out.stats.barriers_fused >= 2,
+            ops.iter()
+                .any(|op| matches!(op, FPlanOp::SelectConst { .. }))
+                && ops.iter().any(|op| matches!(op, FPlanOp::Project(_))),
             "the selection and the projection executed inside the program"
         );
-        assert!(out.stats.arenas_skipped >= out.stats.plan.len().saturating_sub(2));
     }
 
     #[test]
@@ -1496,8 +1432,6 @@ mod tests {
         let stats = EvalStats {
             fused_segments: 2,
             aggregates_on_overlay: 1,
-            barriers_fused: 3,
-            arenas_skipped: 4,
             queries_served: 7,
             plan_cache_hits: 5,
             plan_cache_misses: 6,
@@ -1508,7 +1442,7 @@ mod tests {
         };
         let table = stats.counters_table();
         let rows: Vec<&str> = table.lines().collect();
-        assert_eq!(rows.len(), 10, "one row per pinned counter:\n{table}");
+        assert_eq!(rows.len(), 9, "one row per pinned counter:\n{table}");
         for (row, needle) in rows.iter().zip([
             "optimisation time",
             "execution time",
@@ -1517,14 +1451,12 @@ mod tests {
             "result tuples",
             "explored states",
             "fused segments / overlay aggregates",
-            "barriers fused / arenas skipped",
             "queries served / cache hits / misses / evictions",
             "chain heads / flat fallbacks",
         ]) {
             assert!(row.starts_with(needle), "row {row:?} vs {needle:?}");
         }
         assert!(table.contains("2 / 1"), "fused/overlay values:\n{table}");
-        assert!(table.contains("3 / 4"), "barrier/arena values:\n{table}");
         assert!(table.contains("7 / 5 / 6 / 8"), "serving values:\n{table}");
         assert!(table.contains("9 / 10"), "head strategy values:\n{table}");
         // Display renders the same table.

@@ -84,8 +84,8 @@
 //! [`crate::ops::execute_fused_aggregate`], that evaluates the same
 //! aggregates directly on the fused overlay — an aggregate is one more
 //! consumer of the overlay that never needs the final arena at all, so an
-//! aggregate query pays zero final-arena emission.  `fdb-plan` routes a
-//! plan's trailing structural segment through that entry point.
+//! aggregate query pays zero final-arena emission.  `fdb-plan` routes every
+//! non-empty aggregate plan through that entry point.
 
 use crate::frep::FRep;
 use crate::store::Store;
@@ -1247,7 +1247,8 @@ mod tests {
         // Projecting B away removes its exhausted leaf from the tree: the
         // attribute no longer occurs at all.
         let mut projected = rep.clone();
-        crate::ops::project(&mut projected, &attrs(&[0])).unwrap();
+        crate::ops::execute_fused(&mut projected, &[crate::ops::FusedOp::Project(attrs(&[0]))])
+            .unwrap();
         assert!(matches!(
             aggregate(&projected, AggregateKind::Min(AttrId(1))),
             Err(FdbError::AttributeNotInQuery { .. })

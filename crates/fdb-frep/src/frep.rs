@@ -66,14 +66,14 @@ impl FRep {
     }
 
     /// Creates an f-representation directly from an arena store.  Used by
-    /// the arena-native operators and [`crate::build`], which maintain the
+    /// [`crate::build`] and the snapshot loader, which maintain or check the
     /// invariants themselves.
     pub(crate) fn from_store(tree: FTree, store: Store) -> Self {
         FRep { tree, store }
     }
 
-    /// Replaces both parts at once — how an arena-native structural operator
-    /// installs its rewritten tree and arena.
+    /// Replaces both parts at once — how the fused executor installs its
+    /// rewritten tree and arena.
     pub(crate) fn replace_parts(&mut self, tree: FTree, store: Store) {
         self.tree = tree;
         self.store = store;
@@ -114,11 +114,6 @@ impl FRep {
     /// The arena store (crate-internal; operators rebuild it).
     pub(crate) fn store(&self) -> &Store {
         &self.store
-    }
-
-    /// Replaces the arena store (crate-internal).
-    pub(crate) fn set_store(&mut self, store: Store) {
-        self.store = store;
     }
 
     /// Mutable access to the arena store (crate-internal).

@@ -21,10 +21,12 @@
 //!   materialisation into a flat [`fdb_relation::Relation`];
 //! * the data-level f-plan operators ([`ops`]): Cartesian product, push-up
 //!   and normalisation, swap, merge, absorb, selection with a constant, and
-//!   projection — all arena-native, rewriting the flat store in single
-//!   passes with no pointer-tree round trip.  Each operator transforms both
-//!   the representation and its f-tree, keeping the two consistent, and
-//!   runs in (quasi)linear time in the sizes of its input and output;
+//!   projection.  Every operator but the product runs through one executor,
+//!   the fused overlay program of [`ops::fuse`]; [`ops::oracle`] is the one
+//!   independent thaw-path implementation it is tested against.  Each
+//!   operator transforms both the representation and its f-tree, keeping
+//!   the two consistent, and runs in (quasi)linear time in the sizes of its
+//!   input and output;
 //! * one-pass aggregation ([`aggregate`]): `COUNT`/`SUM`/`MIN`/`MAX`/`AVG`
 //!   (optionally grouped by a root attribute) over the factorised data,
 //!   without enumerating a single tuple.
@@ -57,14 +59,15 @@
 //! # The single-pass execution contract
 //!
 //! The fused executor ([`ops::fuse`]) compiles an entire f-plan — push-ups,
-//! normalisations, swaps, merges, absorbs, **and** constant selections and
-//! projections — into one overlay program over the input arena, emitting
-//! exactly one output arena in freeze layout, bit-for-bit identical to
-//! running the operators one at a time.  There are no fusion barriers: a
-//! selection is an entry filter folded into the liveness sweep (emptied
-//! subtrees retract exactly as the merge/absorb prune retracts them), and a
-//! projection replays its leaf removals and data-dependent swap-downs on
-//! the overlay.  `fdb-plan` routes every multi-pass plan through this path.
+//! normalisations, swaps, merges, absorbs, constant selections and
+//! projections, one operator or many — into one overlay program over the
+//! input arena, emitting exactly one output arena in freeze layout,
+//! bit-for-bit identical to running the thaw-path oracle one operator at a
+//! time.  A selection is an entry filter folded into the liveness sweep
+//! (emptied subtrees retract exactly as the merge/absorb prune retracts
+//! them), and a projection replays its leaf removals and data-dependent
+//! swap-downs on the overlay.  `fdb-plan` routes every non-empty plan
+//! through this path.
 //!
 //! # The sharing contract
 //!
@@ -97,13 +100,12 @@
 //! accumulation as entry filters — **no arena is emitted at any point**, so
 //! a (selection-then-)aggregate query pays zero materialisation.  `fdb-plan`
 //! routes every non-empty aggregate plan through that entry point and
-//! `fdb-core` reports it as `aggregates_on_overlay` / `arenas_skipped`.
+//! `fdb-core` reports it as `aggregates_on_overlay`.
 //!
 //! # The cancellation and budget contract
 //!
-//! Every data-dependent loop in this crate has a `_ctx` variant
-//! ([`build_frep_ctx`], `Store::retain_and_prune_ctx`,
-//! [`ops::execute_fused_ctx`], [`aggregate::evaluate_ctx`],
+//! Every data-dependent loop on an evaluation path has a `_ctx` variant
+//! ([`build_frep_ctx`], [`ops::execute_fused_ctx`], [`aggregate::evaluate_ctx`],
 //! [`enumerate::materialize_ctx`], …) threaded with an
 //! [`fdb_common::ExecCtx`]: the loop **charges** the context roughly one
 //! unit per arena record it processes or emits, and the context turns
@@ -113,7 +115,7 @@
 //!
 //! * **No partial state.** An interrupting `Err` propagates without
 //!   installing anything: the semi-join builder retracts to its
-//!   watermark, rewriters and the fused executor build *fresh* arenas
+//!   watermark, the fused executor builds *fresh* arenas
 //!   that are only swapped in on success, and aggregation/enumeration
 //!   never mutate their input.  A representation that was readable before
 //!   an aborted operation is bit-for-bit unchanged after it.
@@ -126,8 +128,7 @@
 //! interrupted, so any new loop whose trip count depends on data size
 //! must charge at least once per record batch.  With the
 //! `fault-injection` cargo feature the same contexts also drive the
-//! deterministic `failpoint!` sites (`build.semi_join`, `store.rewrite`,
-//! `fuse.execute`, `aggregate.fold`, `enumerate.cursor`, `snapshot.write`,
+//! deterministic `failpoint!` sites (`build.semi_join`, `fuse.execute`, `aggregate.fold`, `enumerate.cursor`, `snapshot.write`,
 //! `snapshot.read`) used by the chaos suite in the workspace root.
 //!
 //! # Durability

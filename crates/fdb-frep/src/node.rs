@@ -3,12 +3,11 @@
 //! [`Union`] and [`Entry`] are the pointer-rich form of the factorised data:
 //! every union owns a `Vec` of entries and every entry owns one child union
 //! per f-tree child.  Since the arena refactor ([`crate::store`]) this form
-//! is no longer how an [`crate::FRep`] *stores* its data, and since the
-//! arena-native operator rewrite ([`crate::ops`]) it is no longer on any
-//! production rewrite path either: it survives as the form in which
-//! representations are hand-**constructed** (tests, examples) and as the
-//! substrate of the thaw-path oracle ([`crate::ops::oracle`]) that the
-//! equivalence tests and benchmarks compare against.  `FRep::from_parts`
+//! is no longer how an [`crate::FRep`] *stores* its data, and no production
+//! operator rewrites it: it survives as the form in which representations
+//! are hand-**constructed** (tests, examples) and as the substrate of the
+//! thaw-path oracle ([`crate::ops::oracle`]) that the equivalence tests
+//! compare the fused executor against.  `FRep::from_parts`
 //! freezes a builder forest into the arena; `FRep::to_forest` thaws it
 //! back.
 

@@ -1,72 +1,40 @@
-//! Fused f-plan execution: a run of structural operators in one arena pass.
+//! The f-plan executor: every f-plan runs as one fused overlay program.
 //!
-//! # Why
-//!
-//! Since PR 2 every structural operator (swap, merge, absorb, push-up,
-//! projection) is a single arena-to-arena pass, but a k-step f-plan still
-//! materialises k−1 intermediate arenas that exist only to be consumed by
-//! the next step.  On optimiser-produced plans — which routinely chain
-//! swap → merge → normalise — most of the remaining wall-clock is spent
-//! copying untouched regions of the arena over and over, not performing the
-//! rewrites themselves.
-//!
-//! # The whole-plan model (no barriers)
-//!
-//! Through PR 4, `fdb-plan` segmented an op list at *fusion barriers* —
-//! selections with constants and projections, whose data-level effect is
-//! value-dependent — and only the structural runs between barriers fused.
-//! Since PR 5 both barrier classes are overlay transforms too:
-//!
-//! * a **constant selection** is a per-union entry filter composed with the
-//!   cached liveness machinery ([`Fusion::filter`]): one fresh bottom-up
-//!   sweep with the comparison folded into the per-entry predicate decides
-//!   liveness, emptied subtrees retract exactly as the merge/absorb prune
-//!   retracts them, and untouched (clean) subtrees stay `Src` references;
-//! * a **projection** replays the projection operator's loop on the overlay
-//!   ([`project_steps`]): fully-projected leaves drop via [`RemoveLeafPass`]
-//!   (the parent unions lose one kid slot — pure header remaps), and
-//!   fully-projected inner nodes swap downwards through the same
-//!   [`SwapPass`] that serves explicit swap steps, until they become
-//!   removable leaves.
-//!
-//! An entire f-plan — selections and projections included — therefore
-//! compiles into **one** [`FusedOp`] program and executes through
-//! [`execute_fused`] as one pass:
+//! A program is a list of [`FusedOp`] steps — push-ups, normalisations,
+//! swaps, merges, absorbs, constant selections and projections.  A lone
+//! operator is a one-step program; a k-step plan is one program too, and it
+//! pays **one** arena emission instead of k:
 //!
 //! 1. The f-tree transforms are simulated up front, step by step, on clones
-//!    of the tree — exactly the schema-level transforms the individual
-//!    operators would apply.  This also performs all operator validation
-//!    before any data is touched, so a failing segment leaves the
-//!    representation unmodified.
+//!    of the tree.  This performs all operator validation before any data is
+//!    touched, so a failing program leaves the representation unmodified.
 //! 2. Each step is applied to an **overlay**: a forest of virtual unions
 //!    where a [`VId`] either points at an untouched union of the *input*
 //!    arena (a `Src` reference — O(1) to create, nothing is copied) or at a
 //!    [`Mix`] node materialising just the regrouped/spliced/merged region.
-//!    The overlay passes mirror the PR 2 rewriters decision for decision
-//!    (same pair sort for swap, same sort-merge join for merge, same
-//!    binary-search restriction for absorb, same first-entry lift for
-//!    push-up), but where a rewriter would `copy_union` an unaffected
-//!    subtree the overlay stores a reference.
-//! 3. The merge/absorb prune is folded in as a *liveness sweep over the
-//!    overlay*: one flat bottom-up pass over the input arena (computed once
-//!    per program, cached) decides per-entry liveness of untouched regions,
-//!    and a cheap walk over the Mix nodes propagates emptiness — no
-//!    intermediate `retain_and_prune` re-emission.  Selections run the same
-//!    sweep with their comparison folded into the predicate.
+//!    Swap sorts `(b, a)` pairs, merge is a sort-merge join, absorb restricts
+//!    by binary search, push-up lifts the first entry's copy.
+//! 3. Emptiness is decided by a *liveness sweep over the overlay*: one flat
+//!    bottom-up pass over the input arena (computed once per program,
+//!    cached) decides per-entry liveness of untouched regions, and a cheap
+//!    walk over the Mix nodes propagates emptiness.  Merge and absorb prune
+//!    through it, and a **constant selection** is the same sweep with its
+//!    comparison folded into the per-entry predicate ([`Fusion::filter`]).
 //! 4. Normalisation (and absorb's trailing normalisation) is replayed as
 //!    overlay push-ups: the push-up sequence is computable from the tree
-//!    alone, so the whole sequence collapses into pure header remaps on the
-//!    overlay — one emission applies all of them at once.
+//!    alone, so the whole sequence collapses into header remaps.  A
+//!    **projection** replays leaf removals ([`RemoveLeafPass`]) and the
+//!    data-dependent swap-downs of fully-projected inner nodes
+//!    ([`SwapPass`]) the same way ([`project_steps`]).
 //! 5. A single final [`Rewriter`] emission walks the overlay: `Mix` nodes
 //!    emit their own records, `Src` references emit through
 //!    [`Rewriter::copy_union`].  The output is the exact
-//!    [`crate::store::Store::freeze`] layout, so a fused program is
-//!    **bit-for-bit identical** to the PR 2 step-wise execution of the same
-//!    steps — the randomized equivalence suite asserts store identity.
+//!    [`crate::store::Store::freeze`] layout, so every program is
+//!    **bit-for-bit identical** to the thaw-path oracle
+//!    ([`crate::ops::oracle::execute`]) — the randomized equivalence suite
+//!    asserts store identity.
 //!
-//! Total data movement for a k-step program: the touched regions (which the
-//! step-wise path also rebuilds) plus **one** full copy, instead of k.
-//! Aggregate consumers skip even that one copy:
+//! Aggregate consumers skip even the one emission:
 //! [`execute_fused_aggregate`] folds the aggregate (and the program's
 //! trailing selections, as entry filters) directly over the overlay.
 
@@ -80,12 +48,11 @@ use crate::store::{kid_count_table, Rewriter, Store};
 use fdb_common::{failpoint, AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId, SwapOutcome};
 use std::collections::BTreeSet;
+use std::fmt;
 
-/// One fusable f-plan step.  Since PR 5 this covers **every** f-plan
-/// operator — constant selections become per-union entry filters composed
-/// with the liveness sweep, and projections replay as leaf removals plus the
-/// data-dependent swap-downs — so a whole plan compiles into one overlay
-/// program (see the module docs).
+/// One f-plan operator (re-exported as `fdb_plan::FPlanOp`).  Every
+/// operator but the product has a variant, so a whole plan compiles into one
+/// overlay program (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FusedOp {
     /// Push-up `ψ_B`: lift `node` above its parent.
@@ -94,7 +61,8 @@ pub enum FusedOp {
     Normalise,
     /// Swap `χ`: exchange `node` with its parent.
     Swap(NodeId),
-    /// Merge `µ`: fuse the two sibling nodes (the first survives).
+    /// Merge `µ`: fuse the two sibling nodes (enforces equality of their
+    /// classes); the first node survives.
     Merge(NodeId, NodeId),
     /// Absorb `α`: fuse the descendant (second) node into the ancestor
     /// (first) node, then normalise.
@@ -116,13 +84,69 @@ pub enum FusedOp {
     Project(BTreeSet<AttrId>),
 }
 
-/// Executes a program of fused steps — structural operators, constant
-/// selections and projections alike — as one arena pass.
+impl fmt::Display for FusedOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FusedOp::PushUp(n) => write!(f, "ψ({n})"),
+            FusedOp::Normalise => write!(f, "η"),
+            FusedOp::Swap(n) => write!(f, "χ({n})"),
+            FusedOp::Merge(a, b) => write!(f, "µ({a},{b})"),
+            FusedOp::Absorb(a, b) => write!(f, "α({a},{b})"),
+            FusedOp::SelectConst { attr, op, value } => write!(f, "σ({attr} {op:?} {value})"),
+            FusedOp::Project(attrs) => write!(f, "π({} attrs)", attrs.len()),
+        }
+    }
+}
+
+impl FusedOp {
+    /// Applies the operator to an f-tree only — the schema-level simulation
+    /// the optimisers cost plans with.  A projection only drops exhausted
+    /// leaves here: fully-projected inner nodes are kept (execution swaps
+    /// them down to leaves, which does not change `s(T)` for the worse).
+    pub fn apply_to_tree(&self, tree: &mut FTree) -> Result<()> {
+        match self {
+            FusedOp::PushUp(n) => tree.push_up(*n),
+            FusedOp::Normalise => {
+                tree.normalise();
+                Ok(())
+            }
+            FusedOp::Swap(n) => tree.swap_with_parent(*n).map(|_| ()),
+            FusedOp::Merge(a, b) => tree.merge_siblings(*a, *b).map(|_| ()),
+            FusedOp::Absorb(a, b) => {
+                tree.absorb_into_ancestor(*a, *b)?;
+                tree.normalise();
+                Ok(())
+            }
+            FusedOp::SelectConst { attr, op, value } => {
+                let node = select_node(tree, *attr)?;
+                if *op == ComparisonOp::Eq {
+                    tree.bind_constant(node, *value)?;
+                }
+                Ok(())
+            }
+            FusedOp::Project(keep) => {
+                let marked: BTreeSet<AttrId> = tree.all_attrs().difference(keep).copied().collect();
+                tree.mark_attrs_projected(&marked);
+                loop {
+                    let removable = tree.removable_projected_leaves();
+                    if removable.is_empty() {
+                        return Ok(());
+                    }
+                    for leaf in removable {
+                        tree.remove_projected_leaf(leaf)?;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Executes a program of steps — structural operators, constant selections
+/// and projections alike — as one arena pass.
 ///
-/// Semantically identical — bit-for-bit on the output arena — to applying
-/// the corresponding [`crate::ops`] operators one at a time; on error the
-/// representation is left unmodified (the step-wise path would stop at the
-/// failing operator instead).
+/// Bit-for-bit identical on the output arena to the thaw-path oracle
+/// ([`crate::ops::oracle::execute`]); on error the representation is left
+/// unmodified (the oracle would stop at the failing operator instead).
 pub fn execute_fused(rep: &mut FRep, ops: &[FusedOp]) -> Result<()> {
     execute_fused_ctx(rep, ops, &ExecCtx::unlimited())
 }
@@ -225,7 +249,7 @@ pub fn execute_fused_aggregate_ctx(
 }
 
 /// Resolves a selection attribute against the current simulated tree,
-/// mirroring the step-wise operator's error.
+/// mirroring the oracle's error.
 fn select_node(cur: &FTree, attr: AttrId) -> Result<NodeId> {
     cur.node_of_attr(attr)
         .ok_or_else(|| FdbError::AttributeNotInQuery {
@@ -285,7 +309,7 @@ fn swap_step(fusion: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<()> 
 }
 
 /// Replays the projection operator on the overlay, decision for decision the
-/// loop of [`crate::ops::project`]: mark the dropped attributes on the
+/// loop of [`crate::ops::oracle::project`]: mark the dropped attributes on the
 /// simulated tree, remove every fully-projected leaf (a [`RemoveLeafPass`]
 /// per leaf — pure header remaps, nothing is copied), and swap each
 /// fully-projected inner node downwards (the data-dependent swap-downs drive
@@ -338,7 +362,7 @@ fn push_up_step(fusion: &mut Fusion<'_>, cur: &mut FTree, b: NodeId) -> Result<(
 }
 
 /// Replays normalisation as overlay push-ups, in exactly the order the
-/// step-wise [`crate::ops::normalise`] applies them.
+/// oracle's [`crate::ops::oracle::normalise`] applies them.
 fn normalise_steps(fusion: &mut Fusion<'_>, cur: &mut FTree) -> Result<()> {
     loop {
         let mut changed = false;
@@ -407,6 +431,11 @@ struct Liveness {
     entry_alive: Vec<bool>,
     subtree_dirty: Vec<bool>,
 }
+
+/// The entry predicate of a liveness sweep: `None` keeps every entry (the
+/// merge/absorb prune), `Some((node, θ, c))` keeps only the entries of
+/// `node`'s unions whose value `v` satisfies `v θ c` (a constant selection).
+type Predicate = Option<(NodeId, ComparisonOp, Value)>;
 
 /// The fused-segment state: the immutable input arena plus the overlay
 /// forest the passes transform.
@@ -502,54 +531,12 @@ impl<'a> Fusion<'a> {
     // -----------------------------------------------------------------
 
     /// One flat bottom-up pass over the input arena: per-entry liveness
-    /// under a retain-and-prune with predicate `keep`, per-union emptiness,
-    /// and a per-union "subtree contains a dead entry" flag.
-    fn compute_liveness<F: Fn(NodeId, Value) -> bool>(&self, keep: &F) -> Result<Liveness> {
-        let s = self.src;
-        let mut entry_alive = vec![true; s.entry_count()];
-        let mut union_empty = vec![false; s.unions.len()];
-        let mut subtree_dirty = vec![false; s.unions.len()];
-        for uid in (0..s.unions.len()).rev() {
-            let rec = s.unions[uid];
-            self.ctx.charge(1 + rec.entries_len as u64)?;
-            let kid_count = self.src_kid_counts[rec.node.index()];
-            let mut any_alive = false;
-            let mut dirty = false;
-            for e in rec.entries_start..rec.entries_start + rec.entries_len {
-                let mut alive = keep(rec.node, s.value_at(e));
-                let kids_start = s.kids_start_at(e);
-                for k in 0..kid_count {
-                    let kid = s.kids[(kids_start + k) as usize] as usize;
-                    if union_empty[kid] {
-                        alive = false;
-                    }
-                    dirty |= subtree_dirty[kid];
-                }
-                entry_alive[e as usize] = alive;
-                any_alive |= alive;
-                dirty |= !alive;
-            }
-            union_empty[uid] = !any_alive;
-            subtree_dirty[uid] = dirty;
-        }
-        Ok(Liveness {
-            entry_alive,
-            subtree_dirty,
-        })
-    }
-
-    /// The comparison-specialised liveness sweep backing [`Fusion::filter`]:
-    /// the same pass as [`Fusion::compute_liveness`], but the per-entry
-    /// predicate on the selected node's unions is evaluated **per block**
-    /// through the batched [`kernel::fill_keep_mask`] over the union's dense
-    /// value slice, instead of a closure call per entry.  Bit-for-bit
-    /// identical to the generic sweep with the equivalent closure.
-    fn compute_liveness_cmp(
-        &self,
-        node: NodeId,
-        cmp: ComparisonOp,
-        value: Value,
-    ) -> Result<Liveness> {
+    /// under a retain-and-prune with entry predicate `pred`, per-union
+    /// emptiness, and a per-union "subtree contains a dead entry" flag.  The
+    /// predicate runs **per block** on the selected node's unions, through
+    /// the batched [`kernel::fill_keep_mask`] over the union's dense value
+    /// slice.
+    fn compute_liveness(&self, pred: Predicate) -> Result<Liveness> {
         let s = self.src;
         let mut entry_alive = vec![true; s.entry_count()];
         let mut union_empty = vec![false; s.unions.len()];
@@ -559,7 +546,7 @@ impl<'a> Fusion<'a> {
             self.ctx.charge(1 + rec.entries_len as u64)?;
             let start = rec.entries_start as usize;
             let end = start + rec.entries_len as usize;
-            if rec.node == node {
+            if let Some((_, cmp, value)) = pred.filter(|&(node, _, _)| node == rec.node) {
                 kernel::fill_keep_mask(
                     s.value_slice(uid as u32),
                     cmp,
@@ -599,58 +586,47 @@ impl<'a> Fusion<'a> {
     /// selection-clean subtree, which is keep-everything-clean a fortiori.
     fn ensure_liveness(&mut self) -> Result<()> {
         if self.liveness.is_none() {
-            self.liveness = Some(self.compute_liveness(&|_, _| true)?);
+            self.liveness = Some(self.compute_liveness(None)?);
         }
         Ok(())
     }
 
-    /// The overlay counterpart of `Store::retain_and_prune(keep = true)`:
-    /// drops entries whose product became empty, propagating upwards.  Clean
+    /// The overlay prune: drops entries whose product became empty, propagating upwards.  Clean
     /// `Src` subtrees pass through untouched; only Mix nodes and dirty `Src`
     /// regions are rebuilt.
     fn prune(&mut self) -> Result<()> {
         self.ensure_liveness()?;
         let live = self.liveness.take().expect("liveness just ensured");
-        let result = self.apply_prune(&live, &|_, _| true);
+        let result = self.apply_prune(&live, None);
         self.liveness = Some(live);
         result
     }
 
-    /// The overlay counterpart of the constant-selection operator
-    /// (`Store::retain_and_prune` with the comparison as predicate): keeps
+    /// The constant-selection operator on the overlay: keeps
     /// the entries of `node`'s unions whose value satisfies `cmp value`, and
     /// prunes entries whose product became empty exactly as the merge/absorb
     /// prune does.  One fresh liveness sweep (the predicate changes per
     /// selection) plus a walk that rebuilds only dirty regions — subtrees
     /// the selection does not touch stay `Src` references.
     fn filter(&mut self, node: NodeId, cmp: ComparisonOp, value: Value) -> Result<()> {
-        let keep = move |n: NodeId, v: Value| n != node || cmp.eval(v, value);
-        let live = self.compute_liveness_cmp(node, cmp, value)?;
-        self.apply_prune(&live, &keep)
+        let pred = Some((node, cmp, value));
+        let live = self.compute_liveness(pred)?;
+        self.apply_prune(&live, pred)
     }
 
     /// Rewrites every root through [`Fusion::prune_union`].
-    fn apply_prune<F: Fn(NodeId, Value) -> bool>(
-        &mut self,
-        live: &Liveness,
-        keep: &F,
-    ) -> Result<()> {
+    fn apply_prune(&mut self, live: &Liveness, pred: Predicate) -> Result<()> {
         let roots = self.roots.clone();
         self.roots = roots
             .into_iter()
-            .map(|r| Ok(self.prune_union(r, live, keep)?.0))
+            .map(|r| Ok(self.prune_union(r, live, pred)?.0))
             .collect::<Result<_>>()?;
         Ok(())
     }
 
     /// Prunes one virtual union under the given liveness/predicate; returns
     /// the pruned reference and whether it came out empty.
-    fn prune_union<F: Fn(NodeId, Value) -> bool>(
-        &mut self,
-        v: VId,
-        live: &Liveness,
-        keep: &F,
-    ) -> Result<(VId, bool)> {
+    fn prune_union(&mut self, v: VId, live: &Liveness, pred: Predicate) -> Result<(VId, bool)> {
         if let Some(uid) = v.as_src() {
             let uidx = uid as usize;
             if !live.subtree_dirty[uidx] {
@@ -670,7 +646,7 @@ impl<'a> Fusion<'a> {
                 let kids_start = self.src.kids_start_at(e as u32);
                 for k in 0..kid_count {
                     let kid_uid = self.src.kids[(kids_start + k) as usize];
-                    let (kid, _) = self.prune_union(VId::src(kid_uid), live, keep)?;
+                    let (kid, _) = self.prune_union(VId::src(kid_uid), live, pred)?;
                     kids.push(kid);
                 }
             }
@@ -696,14 +672,14 @@ impl<'a> Fusion<'a> {
                 let value = self.mixes[v.mix_index()].values[i as usize];
                 // An entry failing the predicate dies outright; its subtrees
                 // are unreachable and need no rebuild.
-                if !keep(node, value) {
+                if pred.is_some_and(|(n, cmp, c)| n == node && !cmp.eval(value, c)) {
                     continue;
                 }
                 pruned.clear();
                 let mut alive = true;
                 for k in 0..kid_count {
                     let kid = self.mixes[v.mix_index()].kids[(i * kid_count + k) as usize];
-                    let (pk, empty) = self.prune_union(kid, live, keep)?;
+                    let (pk, empty) = self.prune_union(kid, live, pred)?;
                     alive &= !empty;
                     pruned.push(pk);
                 }
@@ -1153,7 +1129,7 @@ impl<'f, 'a> SwapPass<'f, 'a> {
     }
 
     /// Regroups one `A`-union into the corresponding `B`-union with the same
-    /// pair sort as the step-wise operator.
+    /// pair order as the oracle's regrouping.
     fn regroup(&mut self, a_vid: VId) -> VId {
         let pos_b = child_pos(&self.old_a_children, self.b);
         let a_len = self.fu.len(a_vid);
@@ -1165,7 +1141,7 @@ impl<'f, 'a> SwapPass<'f, 'a> {
             }
         }
         // (b value, a entry) is unique per pair, so this reproduces the
-        // step-wise full-tuple sort order exactly.
+        // oracle's order exactly.
         pairs.sort_unstable_by_key(|p| (p.0, p.1));
 
         let mut values = Vec::new();
@@ -1518,8 +1494,7 @@ impl<'f, 'a> AbsorbPass<'f, 'a> {
 // Projection leaf removal on the overlay
 // ---------------------------------------------------------------------
 
-/// Overlay counterpart of the leaf-removal rewrite in
-/// [`crate::ops::project`]: every union over the removed leaf's parent loses
+/// The leaf removal of a projection, on the overlay: every union over the removed leaf's parent loses
 /// the leaf's kid slot (the kept children are pure references — nothing
 /// below them changes), the leaf's unions become unreachable, and a root
 /// leaf simply drops out of the root list.
@@ -1590,60 +1565,8 @@ mod tests {
     use super::*;
     use crate::enumerate::materialize;
     use crate::node::{Entry, Union};
-    use crate::ops;
-    use fdb_common::AttrId;
+    use crate::ops::testing::{attrs, chain_rep, push_up_chain, run_checked, two_roots};
     use fdb_ftree::DepEdge;
-
-    fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
-        ids.iter().map(|&i| AttrId(i)).collect()
-    }
-
-    /// Applies the program step-wise through the PR 2 operators.
-    fn stepwise(rep: &mut FRep, steps: &[FusedOp]) {
-        for op in steps {
-            match op {
-                FusedOp::PushUp(b) => ops::push_up(rep, *b).unwrap(),
-                FusedOp::Normalise => {
-                    ops::normalise(rep).unwrap();
-                }
-                FusedOp::Swap(b) => {
-                    ops::swap(rep, *b).unwrap();
-                }
-                FusedOp::Merge(a, b) => {
-                    ops::merge(rep, *a, *b).unwrap();
-                }
-                FusedOp::Absorb(a, b) => {
-                    ops::absorb(rep, *a, *b).unwrap();
-                }
-                FusedOp::SelectConst { attr, op, value } => {
-                    ops::select_const(rep, *attr, *op, *value).unwrap();
-                }
-                FusedOp::Project(keep) => ops::project(rep, keep).unwrap(),
-            }
-        }
-    }
-
-    /// Fused and step-wise execution must agree bit for bit on the arena.
-    fn check(rep: &FRep, steps: &[FusedOp], context: &str) {
-        let mut fused = rep.clone();
-        let mut reference = rep.clone();
-        execute_fused(&mut fused, steps).unwrap_or_else(|e| panic!("{context}: fused: {e:?}"));
-        stepwise(&mut reference, steps);
-        fused
-            .validate()
-            .unwrap_or_else(|e| panic!("{context}: fused result invalid: {e:?}"));
-        assert!(
-            fused.store_identical(&reference),
-            "{context}: fused and step-wise stores diverge\nfused:\n{}\nstep-wise:\n{}",
-            fused.dump_store(),
-            reference.dump_store()
-        );
-        assert_eq!(
-            fused.tree().canonical_key(),
-            reference.tree().canonical_key(),
-            "{context}: trees diverge"
-        );
-    }
 
     /// A{0} → B{1} → (C{2}, D{3}) with C dependent on A and D independent —
     /// the general swap shape with both a `G_ab` and an `F_b` part.
@@ -1689,39 +1612,16 @@ mod tests {
 
     /// Two joined chains with a merge-able pair of roots after a product.
     fn product_shape() -> (FRep, NodeId, NodeId) {
-        let side = |root_attr: u32, child_attr: u32, name: &str, rows: &[(u64, &[u64])]| {
-            let edges = vec![DepEdge::new(
-                name,
-                attrs(&[root_attr, child_attr]),
-                rows.len() as u64,
-            )];
-            let mut tree = FTree::new(edges);
-            let root = tree.add_node(attrs(&[root_attr]), None).unwrap();
-            let child = tree.add_node(attrs(&[child_attr]), Some(root)).unwrap();
-            let entries = rows
-                .iter()
-                .map(|&(v, kids)| Entry {
-                    value: Value::new(v),
-                    children: vec![Union::new(
-                        child,
-                        kids.iter().map(|&k| Entry::leaf(Value::new(k))).collect(),
-                    )],
-                })
-                .collect();
-            FRep::from_parts(tree, vec![Union::new(root, entries)]).unwrap()
-        };
-        let left = side(0, 1, "R", &[(1, &[10]), (2, &[20, 21]), (3, &[30])]);
-        let right = side(2, 3, "S", &[(2, &[77]), (3, &[88, 99]), (4, &[11])]);
-        let rep = ops::product(left, right).unwrap();
-        let a = rep.tree().node_of_attr(AttrId(0)).unwrap();
-        let b = rep.tree().node_of_attr(AttrId(2)).unwrap();
-        (rep, a, b)
+        two_roots(
+            &[(1, &[10]), (2, &[20, 21]), (3, &[30])],
+            &[(2, &[77]), (3, &[88, 99]), (4, &[11])],
+        )
     }
 
     #[test]
     fn fused_single_swap_matches_stepwise() {
         let (rep, _, b) = swap_shape();
-        check(&rep, &[FusedOp::Swap(b)], "single swap");
+        run_checked(&rep, &[FusedOp::Swap(b)]);
     }
 
     #[test]
@@ -1729,10 +1629,9 @@ mod tests {
         let (rep, a, b) = swap_shape();
         // Swap B above A, then A back above B, then B up again: three full
         // regroupings whose intermediates the fusion never materialises.
-        check(
+        run_checked(
             &rep,
             &[FusedOp::Swap(b), FusedOp::Swap(a), FusedOp::Swap(b)],
-            "swap cycle",
         );
         // The relation is preserved.
         let mut fused = rep.clone();
@@ -1745,14 +1644,13 @@ mod tests {
     fn fused_merge_then_swap_matches_stepwise() {
         let (rep, a, b) = product_shape();
         let child = rep.tree().node_of_attr(AttrId(1)).unwrap();
-        check(
+        run_checked(
             &rep,
             &[
                 FusedOp::Merge(a, b),
                 FusedOp::Swap(child),
                 FusedOp::Normalise,
             ],
-            "merge, swap, normalise",
         );
     }
 
@@ -1760,109 +1658,28 @@ mod tests {
     fn fused_absorb_with_trailing_normalise_matches_stepwise() {
         // Chain A{0} → B{1} → C{2}; absorbing C into A triggers the folded
         // prune and the replayed normalisation.
-        let edges = vec![
-            DepEdge::new("RAB", attrs(&[0, 1]), 4),
-            DepEdge::new("RBC", attrs(&[1, 2]), 4),
-        ];
-        let mut tree = FTree::new(edges);
-        let a = tree.add_node(attrs(&[0]), None).unwrap();
-        let b = tree.add_node(attrs(&[1]), Some(a)).unwrap();
-        let c = tree.add_node(attrs(&[2]), Some(b)).unwrap();
-        let b_entry = |bv: u64, cs: &[u64]| Entry {
-            value: Value::new(bv),
-            children: vec![Union::new(
-                c,
-                cs.iter().map(|&v| Entry::leaf(Value::new(v))).collect(),
-            )],
-        };
-        let a_union = Union::new(
-            a,
-            vec![
-                Entry {
-                    value: Value::new(1),
-                    children: vec![Union::new(b, vec![b_entry(10, &[1, 3]), b_entry(11, &[2])])],
-                },
-                Entry {
-                    value: Value::new(2),
-                    children: vec![Union::new(b, vec![b_entry(10, &[1, 3])])],
-                },
-            ],
-        );
-        let rep = FRep::from_parts(tree, vec![a_union]).unwrap();
-        check(&rep, &[FusedOp::Absorb(a, c)], "absorb");
-        check(
-            &rep,
-            &[FusedOp::Absorb(a, c), FusedOp::Normalise],
-            "absorb then redundant normalise",
-        );
+        let rep = chain_rep();
+        let a = rep.tree().node_of_attr(AttrId(0)).unwrap();
+        let c = rep.tree().node_of_attr(AttrId(2)).unwrap();
+        run_checked(&rep, &[FusedOp::Absorb(a, c)]);
+        run_checked(&rep, &[FusedOp::Absorb(a, c), FusedOp::Normalise]);
     }
 
     #[test]
     fn fused_push_up_run_matches_stepwise() {
         // C{2} → A{0} → B{1} with B independent of both: normalisation lifts
         // B twice (to C, then out of C), all folded into one emission.
-        let edges = vec![
-            DepEdge::new("RCA", attrs(&[2, 0]), 2),
-            DepEdge::new("SB", attrs(&[1]), 1),
-        ];
-        let mut tree = FTree::new(edges);
-        let c = tree.add_node(attrs(&[2]), None).unwrap();
-        let a = tree.add_node(attrs(&[0]), Some(c)).unwrap();
-        let b = tree.add_node(attrs(&[1]), Some(a)).unwrap();
-        let make_b = || Union::new(b, vec![Entry::leaf(Value::new(9))]);
-        let make_a = |vals: &[u64]| {
-            Union::new(
-                a,
-                vals.iter()
-                    .map(|&v| Entry {
-                        value: Value::new(v),
-                        children: vec![make_b()],
-                    })
-                    .collect(),
-            )
-        };
-        let c_union = Union::new(
-            c,
-            vec![
-                Entry {
-                    value: Value::new(1),
-                    children: vec![make_a(&[10, 11])],
-                },
-                Entry {
-                    value: Value::new(2),
-                    children: vec![make_a(&[12])],
-                },
-            ],
-        );
-        let rep = FRep::from_parts(tree, vec![c_union]).unwrap();
-        check(&rep, &[FusedOp::PushUp(b)], "one push-up");
-        check(&rep, &[FusedOp::Normalise], "normalisation run");
+        let rep = push_up_chain();
+        let b = rep.tree().node_of_attr(AttrId(1)).unwrap();
+        run_checked(&rep, &[FusedOp::PushUp(b)]);
+        run_checked(&rep, &[FusedOp::Normalise]);
     }
 
     #[test]
     fn fused_merge_with_empty_result_matches_stepwise() {
-        let side = |root_attr: u32, child_attr: u32, name: &str, v: u64| {
-            let edges = vec![DepEdge::new(name, attrs(&[root_attr, child_attr]), 1)];
-            let mut tree = FTree::new(edges);
-            let root = tree.add_node(attrs(&[root_attr]), None).unwrap();
-            let child = tree.add_node(attrs(&[child_attr]), Some(root)).unwrap();
-            FRep::from_parts(
-                tree,
-                vec![Union::new(
-                    root,
-                    vec![Entry {
-                        value: Value::new(v),
-                        children: vec![Union::new(child, vec![Entry::leaf(Value::new(v * 10))])],
-                    }],
-                )],
-            )
-            .unwrap()
-        };
-        let rep = ops::product(side(0, 1, "R", 1), side(2, 3, "S", 2)).unwrap();
-        let a = rep.tree().node_of_attr(AttrId(0)).unwrap();
-        let b = rep.tree().node_of_attr(AttrId(2)).unwrap();
+        let (rep, a, b) = two_roots(&[(1, &[10])], &[(2, &[20])]);
         // Disjoint value sets: the merged union is empty, everything prunes.
-        check(&rep, &[FusedOp::Merge(a, b)], "merge to empty");
+        run_checked(&rep, &[FusedOp::Merge(a, b)]);
         let mut fused = rep.clone();
         execute_fused(&mut fused, &[FusedOp::Merge(a, b)]).unwrap();
         assert!(fused.represents_empty());
@@ -1952,26 +1769,7 @@ mod tests {
         // Merge over disjoint value sets empties the representation inside
         // the segment; the aggregate must see the empty result.
         use crate::aggregate::AggregateValue;
-        let side = |root_attr: u32, child_attr: u32, name: &str, v: u64| {
-            let edges = vec![DepEdge::new(name, attrs(&[root_attr, child_attr]), 1)];
-            let mut tree = FTree::new(edges);
-            let root = tree.add_node(attrs(&[root_attr]), None).unwrap();
-            let child = tree.add_node(attrs(&[child_attr]), Some(root)).unwrap();
-            FRep::from_parts(
-                tree,
-                vec![Union::new(
-                    root,
-                    vec![Entry {
-                        value: Value::new(v),
-                        children: vec![Union::new(child, vec![Entry::leaf(Value::new(v * 10))])],
-                    }],
-                )],
-            )
-            .unwrap()
-        };
-        let rep = ops::product(side(0, 1, "R", 1), side(2, 3, "S", 2)).unwrap();
-        let a = rep.tree().node_of_attr(AttrId(0)).unwrap();
-        let b = rep.tree().node_of_attr(AttrId(2)).unwrap();
+        let (rep, a, b) = two_roots(&[(1, &[10])], &[(2, &[20])]);
         let steps = [FusedOp::Merge(a, b)];
         check_aggregates(&rep, &steps, "merge to empty");
         let count =
@@ -2011,7 +1809,7 @@ mod tests {
                 FusedOp::Normalise,
             ],
         ] {
-            check(&rep, &steps, &format!("selection program {steps:?}"));
+            run_checked(&rep, &steps);
         }
     }
 
@@ -2019,7 +1817,8 @@ mod tests {
     fn fused_projection_matches_stepwise() {
         let (rep, _, b) = swap_shape();
         // Leaf projection, inner-node projection (forcing the swap-down
-        // path), projection to nothing, and barrier-mixed programs.
+        // path), projection to nothing, and programs mixing projections
+        // with selections and structural steps.
         for steps in [
             vec![FusedOp::Project(attrs(&[0, 1, 2]))],
             vec![FusedOp::Project(attrs(&[0, 2, 3]))],
@@ -2035,7 +1834,7 @@ mod tests {
                 FusedOp::Normalise,
             ],
         ] {
-            check(&rep, &steps, &format!("projection program {steps:?}"));
+            run_checked(&rep, &steps);
         }
     }
 

@@ -1,24 +1,42 @@
-//! The thaw-path **oracle** implementations of the structural operators.
+//! The thaw-path **oracle** of the f-plan operators.
 //!
-//! Until PR 2 these builder-form rewrites *were* the structural operators:
-//! each one thawed the arena into the owned [`crate::node`] form, restructured
-//! the pointer tree, and froze the result back.  The production operators in
-//! the sibling modules now rewrite arena-to-arena and never thaw; this module
-//! keeps the original implementations verbatim so that
-//!
-//! * the randomized equivalence tests can assert the arena-native operators
-//!   produce bit-for-bit identical stores, and
-//! * the `bench-pr2` microbenchmarks can measure the arena-native operators
-//!   against the exact code they replaced.
+//! Production runs every f-plan through the fused overlay executor
+//! ([`crate::ops::execute_fused`]).  This module is the one independent
+//! implementation it is checked against: each operator thaws the arena into
+//! the owned [`crate::node`] builder form, rewrites the pointer tree the
+//! straightforward way, and freezes the result back.  Freezing produces the
+//! exact layout the fused executor emits, so the equivalence tests compare
+//! the two stores bit for bit; [`execute`] runs a whole [`FusedOp`] program
+//! one operator at a time.
 //!
 //! Nothing here is API; the module is `#[doc(hidden)]` and must not be called
 //! from production paths.
 
 use crate::frep::FRep;
 use crate::node::{self, Entry, Union};
-use fdb_common::{AttrId, FdbError, Result, Value};
-use fdb_ftree::{FTree, NodeId, SwapOutcome};
+use crate::ops::FusedOp;
+use fdb_common::{AttrId, ComparisonOp, FdbError, Result, Value};
+use fdb_ftree::{FTree, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Runs a fused program one operator at a time through the thaw-path
+/// operators below — the reference [`crate::ops::execute_fused`] must match
+/// bit for bit.  Unlike the fused executor it stops at the first failing
+/// operator with the earlier operators applied.
+pub fn execute(rep: &mut FRep, program: &[FusedOp]) -> Result<()> {
+    for op in program {
+        match op {
+            FusedOp::PushUp(b) => push_up(rep, *b)?,
+            FusedOp::Normalise => normalise(rep)?,
+            FusedOp::Swap(b) => swap(rep, *b)?,
+            FusedOp::Merge(a, b) => merge(rep, *a, *b)?,
+            FusedOp::Absorb(a, b) => absorb(rep, *a, *b)?,
+            FusedOp::SelectConst { attr, op, value } => select_const(rep, *attr, *op, *value)?,
+            FusedOp::Project(keep) => project(rep, keep)?,
+        }
+    }
+    Ok(())
+}
 
 /// A representation thawed into the owned builder form, as the oracle
 /// operators rewrite it.  Constructed from an [`FRep`] with [`MutRep::thaw`]
@@ -91,16 +109,16 @@ fn visit_contexts_of_node_mut<F: FnMut(&mut Vec<Union>)>(
 // ----------------------------------------------------------------------
 
 /// Thaw-path swap operator `χ_{A,B}`.
-pub fn swap(rep: &mut FRep, b: NodeId) -> Result<SwapOutcome> {
+pub fn swap(rep: &mut FRep, b: NodeId) -> Result<()> {
     let mut m = MutRep::thaw(rep);
-    let outcome = swap_impl(&mut m, b)?;
+    swap_impl(&mut m, b)?;
     *rep = m.freeze();
-    Ok(outcome)
+    Ok(())
 }
 
 /// The builder-form swap, shared with the oracle projection operator (which
 /// swaps repeatedly and freezes only once).
-fn swap_impl(rep: &mut MutRep, b: NodeId) -> Result<SwapOutcome> {
+fn swap_impl(rep: &mut MutRep, b: NodeId) -> Result<()> {
     rep.tree.check_node(b)?;
     let Some(a) = rep.tree.parent(b) else {
         return Err(FdbError::InvalidOperator {
@@ -133,7 +151,7 @@ fn swap_impl(rep: &mut MutRep, b: NodeId) -> Result<SwapOutcome> {
         moved_down,
         "tree-level and data-level dependency splits must agree"
     );
-    Ok(outcome)
+    Ok(())
 }
 
 /// Regroups one `A`-union into the corresponding `B`-union.
@@ -197,7 +215,7 @@ fn regroup(a_union: Union, a: NodeId, b: NodeId, moved_down: &BTreeSet<NodeId>) 
 // ----------------------------------------------------------------------
 
 /// Thaw-path merge operator `µ_{A,B}` on sibling nodes.
-pub fn merge(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<NodeId> {
+pub fn merge(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<()> {
     rep.tree().check_node(a)?;
     rep.tree().check_node(b)?;
     if !rep.tree().are_siblings(a, b) {
@@ -232,7 +250,7 @@ pub fn merge(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<NodeId> {
     // became empty elsewhere must be pruned away.
     m.prune_empty();
     *rep = m.freeze();
-    Ok(a)
+    Ok(())
 }
 
 /// Sort-merge join of two sibling unions into one union over `node`.
@@ -262,7 +280,7 @@ fn merge_unions(node: NodeId, a_union: Union, b_union: Union) -> Union {
 // ----------------------------------------------------------------------
 
 /// Thaw-path absorb operator `α_{A,B}`.
-pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<Vec<NodeId>> {
+pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<()> {
     rep.tree().check_node(a)?;
     rep.tree().check_node(b)?;
     if !rep.tree().is_ancestor(a, b) {
@@ -280,9 +298,9 @@ pub fn absorb(rep: &mut FRep, a: NodeId, b: NodeId) -> Result<Vec<NodeId>> {
 
     m.tree.absorb_into_ancestor(a, b)?;
     m.prune_empty();
-    let pushed = normalise_impl(&mut m)?;
+    normalise_impl(&mut m)?;
     *rep = m.freeze();
-    Ok(pushed)
+    Ok(())
 }
 
 /// Restricts every union over `b` among `children` (recursively) to the
@@ -382,30 +400,53 @@ fn push_up_impl(rep: &mut MutRep, b: NodeId) -> Result<()> {
 }
 
 /// Thaw-path normalisation operator `η`.
-pub fn normalise(rep: &mut FRep) -> Result<Vec<NodeId>> {
+pub fn normalise(rep: &mut FRep) -> Result<()> {
     let mut m = MutRep::thaw(rep);
-    let applied = normalise_impl(&mut m)?;
+    normalise_impl(&mut m)?;
     *rep = m.freeze();
-    Ok(applied)
+    Ok(())
 }
 
 /// The builder-form normalisation loop.
-fn normalise_impl(rep: &mut MutRep) -> Result<Vec<NodeId>> {
-    let mut applied = Vec::new();
+fn normalise_impl(rep: &mut MutRep) -> Result<()> {
     loop {
         let mut changed = false;
         for node in rep.tree.bottom_up() {
             while rep.tree.can_push_up(node) {
                 push_up_impl(rep, node)?;
-                applied.push(node);
                 changed = true;
             }
         }
         if !changed {
-            break;
+            return Ok(());
         }
     }
-    Ok(applied)
+}
+
+// ----------------------------------------------------------------------
+// Selection with a constant
+// ----------------------------------------------------------------------
+
+/// Thaw-path selection with a constant `σ_{attr θ value}`: keeps the entries
+/// of the attribute's unions that satisfy the comparison, prunes the
+/// products that became empty, and binds the node to the constant for an
+/// equality.
+pub fn select_const(rep: &mut FRep, attr: AttrId, op: ComparisonOp, value: Value) -> Result<()> {
+    let Some(node) = rep.tree().node_of_attr(attr) else {
+        return Err(FdbError::AttributeNotInQuery {
+            attr: format!("{attr}"),
+        });
+    };
+    let mut m = MutRep::thaw(rep);
+    visit_unions_of_node_mut(&mut m.roots, node, &mut |union: &mut Union| {
+        union.entries.retain(|entry| op.eval(entry.value, value));
+    });
+    m.prune_empty();
+    if op == ComparisonOp::Eq {
+        m.tree.bind_constant(node, value)?;
+    }
+    *rep = m.freeze();
+    Ok(())
 }
 
 // ----------------------------------------------------------------------

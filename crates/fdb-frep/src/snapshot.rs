@@ -659,15 +659,18 @@ mod tests {
         // Selecting a constant marks a node; projecting away attribute 1
         // exercises the projected-attribute bookkeeping (and, if the leaf is
         // removed, a hole in the node slot vector).
-        crate::ops::select_const(
+        crate::ops::execute_fused(
             &mut rep,
-            AttrId(0),
-            fdb_common::ComparisonOp::Eq,
-            Value::new(1),
+            &[
+                crate::ops::FusedOp::SelectConst {
+                    attr: AttrId(0),
+                    op: fdb_common::ComparisonOp::Eq,
+                    value: Value::new(1),
+                },
+                crate::ops::FusedOp::Project(attrs(&[0])),
+            ],
         )
         .unwrap();
-        let keep: BTreeSet<AttrId> = attrs(&[0]);
-        crate::ops::project(&mut rep, &keep).unwrap();
         rep.validate().unwrap();
         let loaded = decode_frep(&encode_frep(&rep)).unwrap();
         assert!(loaded.store_identical(&rep));

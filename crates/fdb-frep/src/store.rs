@@ -38,18 +38,17 @@
 //!   top-down passes are flat forward loops — no recursion, no hashing.
 //!
 //! The store is immutable in place; every operator rebuilds it with a flat
-//! arena-to-arena pass.  Value-level operators use the passes in this module
-//! directly ([`Store::retain_and_prune`], [`Store::append_remapped`]); the
-//! structural operators (swap, merge, absorb, push-up, projection) emit a
-//! fresh arena through a [`Rewriter`], which reproduces the exact layout
-//! [`Store::freeze`] would produce for the rewritten representation — so the
-//! arena-native operators are bit-for-bit interchangeable with the
-//! thaw/rewrite/freeze oracle in [`crate::ops::oracle`] while skipping both
-//! linear copies and every per-node allocation.
+//! arena-to-arena pass.  The product appends one store to another
+//! ([`Store::append_remapped`]); the fused f-plan executor
+//! ([`crate::ops::fuse`]) emits a fresh arena through a [`Rewriter`], which
+//! reproduces the exact layout [`Store::freeze`] would produce for the
+//! rewritten representation — so the executor is bit-for-bit comparable with
+//! the thaw/rewrite/freeze oracle in [`crate::ops::oracle`] while skipping
+//! both of its linear copies and every per-node allocation.
 
 use crate::kernel;
 use crate::node::{Entry, Union};
-use fdb_common::{failpoint, ComparisonOp, ExecCtx, FdbError, Result, Value};
+use fdb_common::{FdbError, Result, Value};
 use fdb_ftree::{FTree, NodeId};
 use std::collections::BTreeMap;
 
@@ -351,42 +350,21 @@ impl Store {
         Ok(())
     }
 
-    /// The generic flat rebuild primitive: keeps the entries for which
-    /// `keep(node, value)` holds, then removes entries whose product became
-    /// empty (some kid union without entries), propagating upwards exactly
-    /// like the old recursive prune.  Unions that became unreachable are
-    /// dropped from the arena; root unions may end up empty.
+    /// The flat rebuild primitive behind [`crate::FRep::prune_empty`]: keeps
+    /// the entries for which `keep(node, value)` holds, then removes entries
+    /// whose product became empty (some kid union without entries),
+    /// propagating upwards.  Unions that became unreachable are dropped from
+    /// the arena; root unions may end up empty.
     ///
     /// Runs in two passes with no per-node allocation: a flat bottom-up
     /// liveness pass, then a depth-first re-emission of the survivors
     /// through a [`Rewriter`] — which puts the output in the exact layout
-    /// [`Store::freeze`] would produce, so pruned stores stay bit-for-bit
-    /// comparable with the thaw-path oracle.
-    pub(crate) fn retain_and_prune<F>(&self, tree: &FTree, keep: F) -> Store
+    /// [`Store::freeze`] would produce.
+    pub(crate) fn retain_and_prune<F>(&self, tree: &FTree, mut keep: F) -> Store
     where
         F: FnMut(NodeId, Value) -> bool,
     {
-        self.retain_and_prune_ctx(tree, keep, &ExecCtx::unlimited())
-            .expect("an unlimited context never interrupts the rebuild")
-    }
-
-    /// [`Store::retain_and_prune`] under a governance context: both passes
-    /// charge the context per union record they touch, so a deadline,
-    /// budget or cancellation aborts the rebuild cooperatively.  The input
-    /// arena is read-only throughout and the output is returned by value,
-    /// so an abort leaves no partial state anywhere — the half-emitted
-    /// output store is simply dropped.
-    pub(crate) fn retain_and_prune_ctx<F>(
-        &self,
-        tree: &FTree,
-        mut keep: F,
-        ctx: &ExecCtx,
-    ) -> Result<Store>
-    where
-        F: FnMut(NodeId, Value) -> bool,
-    {
-        failpoint!(ctx, "store.rewrite");
-        let rw = Rewriter::new(self, tree);
+        let mut rw = Rewriter::new(self, tree);
 
         // Pass 1 (bottom-up, reverse index order): decide per entry whether
         // it survives, and per union whether it still has entries.
@@ -394,7 +372,6 @@ impl Store {
         let mut union_empty = vec![true; self.unions.len()];
         for uid in (0..self.unions.len()).rev() {
             let rec = self.unions[uid];
-            ctx.charge(1 + rec.entries_len as u64)?;
             let kid_count = rw.src_kid_count(rec.node);
             let mut any_alive = false;
             for e in rec.entries_start..rec.entries_start + rec.entries_len {
@@ -415,84 +392,14 @@ impl Store {
             union_empty[uid] = !any_alive;
         }
 
-        self.emit_survivors(rw, &entry_alive, ctx)
-    }
-
-    /// The comparison-specialised [`Store::retain_and_prune_ctx`]: the
-    /// constant-selection predicate `value θ c` on one node's unions.  Same
-    /// two passes and the same emission, but pass 1 evaluates the predicate
-    /// **per union block** through the batched
-    /// [`kernel::fill_keep_mask`] — the whole block's keep mask comes from
-    /// one vectorised sweep over the dense value slice instead of a
-    /// closure call per entry.  Bit-for-bit identical to the generic path
-    /// with the equivalent closure (the randomized identity tests pin it).
-    pub(crate) fn retain_and_prune_cmp_ctx(
-        &self,
-        tree: &FTree,
-        node: NodeId,
-        op: ComparisonOp,
-        value: Value,
-        ctx: &ExecCtx,
-    ) -> Result<Store> {
-        failpoint!(ctx, "store.rewrite");
-        let rw = Rewriter::new(self, tree);
-
-        let mut entry_alive = vec![false; self.values.len()];
-        let mut union_empty = vec![true; self.unions.len()];
-        for uid in (0..self.unions.len()).rev() {
-            let rec = self.unions[uid];
-            ctx.charge(1 + rec.entries_len as u64)?;
-            let start = rec.entries_start as usize;
-            let end = start + rec.entries_len as usize;
-            // Predicate first, batched over the union's dense value block.
-            if rec.node == node {
-                kernel::fill_keep_mask(
-                    &self.values[start..end],
-                    op,
-                    value,
-                    &mut entry_alive[start..end],
-                );
-            } else {
-                entry_alive[start..end].fill(true);
-            }
-            // Then the kid-emptiness fold over the surviving mask.
-            let kid_count = rw.src_kid_count(rec.node);
-            let mut any_alive = false;
-            for (e, alive_slot) in entry_alive.iter_mut().enumerate().take(end).skip(start) {
-                let mut alive = *alive_slot;
-                if alive && kid_count > 0 {
-                    let kids_start = self.kids_starts[e];
-                    for k in 0..kid_count {
-                        if union_empty[self.kids[(kids_start + k) as usize] as usize] {
-                            alive = false;
-                            break;
-                        }
-                    }
-                    *alive_slot = alive;
-                }
-                any_alive |= alive;
-            }
-            union_empty[uid] = !any_alive;
-        }
-
-        self.emit_survivors(rw, &entry_alive, ctx)
-    }
-
-    /// Pass 2 shared by both retain-and-prune variants (top-down): re-emit
-    /// the surviving structure.  Unions hanging off dead entries are never
-    /// visited, which drops them.
-    fn emit_survivors(
-        &self,
-        mut rw: Rewriter<'_>,
-        entry_alive: &[bool],
-        ctx: &ExecCtx,
-    ) -> Result<Store> {
+        // Pass 2 (top-down): re-emit the surviving structure.  Unions
+        // hanging off dead entries are never visited, which drops them.
         let roots: Vec<u32> = self
             .roots
             .iter()
-            .map(|&r| emit_pruned(&mut rw, entry_alive, r, ctx))
-            .collect::<Result<_>>()?;
-        Ok(rw.finish(roots))
+            .map(|&r| emit_pruned(&mut rw, &entry_alive, r))
+            .collect();
+        rw.finish(roots)
     }
 
     /// Appends another store (over disjoint f-tree nodes) to this one,
@@ -519,18 +426,12 @@ impl Store {
 
 /// Recursive emission phase of [`Store::retain_and_prune`]: copies union
 /// `uid` keeping only the entries marked alive.
-fn emit_pruned(
-    rw: &mut Rewriter<'_>,
-    entry_alive: &[bool],
-    uid: u32,
-    ctx: &ExecCtx,
-) -> Result<u32> {
+fn emit_pruned(rw: &mut Rewriter<'_>, entry_alive: &[bool], uid: u32) -> u32 {
     let src = rw.src;
     let rec = src.unions[uid as usize];
     let start = rec.entries_start as usize;
     let end = start + rec.entries_len as usize;
     let survivors = (start..end).filter(|&e| entry_alive[e]).count() as u32;
-    ctx.charge(1 + survivors as u64)?;
     let out = rw.begin_union_raw(rec.node, survivors);
     for (e, &alive) in entry_alive.iter().enumerate().take(end).skip(start) {
         if alive {
@@ -547,13 +448,13 @@ fn emit_pruned(
         let kids_start = src.kids_starts[e];
         for k in 0..kid_count {
             let kid = src.kids[kids_start as usize + k as usize];
-            let copied = emit_pruned(rw, entry_alive, kid, ctx)?;
+            let copied = emit_pruned(rw, entry_alive, kid);
             rw.push_kid(copied);
         }
         rw.end_entry(out, index, mark);
         index += 1;
     }
-    Ok(out)
+    out
 }
 
 /// Child counts of every node of `tree`, indexed by node index — the flat
@@ -575,8 +476,8 @@ pub(crate) fn kid_count_table(tree: &FTree) -> Vec<u32> {
 /// [`Store::freeze`] produces: union headers in depth-first preorder, the
 /// entry records of one union pushed contiguously at the union's visit, and
 /// every entry's kid run pushed *after* the kid subtrees it points to.
-/// Reproducing the freeze layout makes an arena-native structural operator
-/// bit-for-bit identical to its thaw/rewrite/freeze oracle, which the
+/// Reproducing the freeze layout makes the fused executor's output
+/// bit-for-bit identical to the thaw/rewrite/freeze oracle, which the
 /// randomized equivalence tests exploit.
 ///
 /// The per-entry kid lists are collected in a single scratch vector shared
@@ -621,7 +522,7 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Units of output emitted so far (union headers plus entry records) —
-    /// governed emission loops charge their [`ExecCtx`] with the delta
+    /// governed emission loops charge their `ExecCtx` with the delta
     /// across each opaque emission call (e.g. a whole
     /// [`Rewriter::copy_union`] subtree copy).
     pub(crate) fn emitted_units(&self) -> u64 {
@@ -662,11 +563,6 @@ impl<'a> Rewriter<'a> {
             self.push_value(value);
         }
         uid
-    }
-
-    /// Emits an empty union over `node`.
-    pub(crate) fn empty_union(&mut self, node: NodeId) -> u32 {
-        self.begin_union(node, std::iter::empty::<Value>())
     }
 
     /// Marks the start of one entry's kid collection; pass the mark to
@@ -839,7 +735,9 @@ impl<'a> EntryRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_common::AttrId;
+    use crate::ops::{execute_fused, FusedOp};
+    use crate::FRep;
+    use fdb_common::{AttrId, ComparisonOp};
     use fdb_ftree::DepEdge;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -919,33 +817,37 @@ mod tests {
         assert_eq!(emptied.thaw(&tree)[0].len(), 0);
     }
 
+    /// The fused constant selection on `rep`'s attribute `attr` — the
+    /// batched keep-mask path of the overlay liveness sweep.
+    fn fused_select(rep: &FRep, attr: AttrId, op: ComparisonOp, value: Value) -> Store {
+        let mut selected = rep.clone();
+        execute_fused(&mut selected, &[FusedOp::SelectConst { attr, op, value }]).unwrap();
+        selected.store().clone()
+    }
+
+    const OPS: [ComparisonOp; 6] = [
+        ComparisonOp::Eq,
+        ComparisonOp::Ne,
+        ComparisonOp::Lt,
+        ComparisonOp::Le,
+        ComparisonOp::Gt,
+        ComparisonOp::Ge,
+    ];
+
     #[test]
     fn cmp_prune_is_bit_identical_to_the_generic_closure_path() {
         let (tree, roots) = sample();
-        let store = Store::freeze(&tree, &roots);
-        let ctx = ExecCtx::unlimited();
-        let ops = [
-            ComparisonOp::Eq,
-            ComparisonOp::Ne,
-            ComparisonOp::Lt,
-            ComparisonOp::Le,
-            ComparisonOp::Gt,
-            ComparisonOp::Ge,
-        ];
-        for node in [
-            tree.node_of_attr(AttrId(0)).unwrap(),
-            tree.node_of_attr(AttrId(1)).unwrap(),
-        ] {
-            for op in ops {
+        let rep = FRep::from_parts(tree.clone(), roots).unwrap();
+        for attr in [AttrId(0), AttrId(1)] {
+            let node = tree.node_of_attr(attr).unwrap();
+            for op in OPS {
                 for c in [0u64, 1, 2, 10, 15, 20, 25, 99] {
                     let c = Value::new(c);
-                    let generic = store
-                        .retain_and_prune_ctx(&tree, |n, v| n != node || op.eval(v, c), &ctx)
-                        .unwrap();
-                    let batched = store
-                        .retain_and_prune_cmp_ctx(&tree, node, op, c, &ctx)
-                        .unwrap();
+                    let generic = rep
+                        .store()
+                        .retain_and_prune(&tree, |n, v| n != node || op.eval(v, c));
                     // Not merely equivalent: the exact same arena records.
+                    let batched = fused_select(&rep, attr, op, c);
                     assert_eq!(batched, generic, "node {node} op {op:?} c {c}");
                 }
             }
@@ -958,7 +860,6 @@ mod tests {
     #[test]
     fn cmp_prune_matches_on_random_forests() {
         let mut rng = StdRng::seed_from_u64(0x50A);
-        let ctx = ExecCtx::unlimited();
         for round in 0..40 {
             let edges = vec![DepEdge::new("R", attrs(&[0, 1, 2]), 3)];
             let mut tree = FTree::new(edges);
@@ -996,24 +897,15 @@ mod tests {
                     })
                     .collect(),
             );
-            let store = Store::freeze(&tree, &[root]);
-            store.validate(&tree).unwrap();
-            let node = [a, b, c][round % 3];
-            let op = [
-                ComparisonOp::Eq,
-                ComparisonOp::Ne,
-                ComparisonOp::Lt,
-                ComparisonOp::Le,
-                ComparisonOp::Gt,
-                ComparisonOp::Ge,
-            ][round % 6];
+            let rep = FRep::from_parts(tree.clone(), vec![root]).unwrap();
+            let attr = AttrId((round % 3) as u32);
+            let node = tree.node_of_attr(attr).unwrap();
+            let op = OPS[round % 6];
             let cut = Value::new(rng.gen_range(0..next + 2));
-            let generic = store
-                .retain_and_prune_ctx(&tree, |n, v| n != node || op.eval(v, cut), &ctx)
-                .unwrap();
-            let batched = store
-                .retain_and_prune_cmp_ctx(&tree, node, op, cut, &ctx)
-                .unwrap();
+            let generic = rep
+                .store()
+                .retain_and_prune(&tree, |n, v| n != node || op.eval(v, cut));
+            let batched = fused_select(&rep, attr, op, cut);
             assert_eq!(batched, generic, "round {round}");
             batched.validate(&tree).unwrap();
         }

@@ -6,172 +6,31 @@
 //! to cost candidate plans without touching data) or *executed* on an
 //! f-representation (which transforms both the data and its tree).
 //!
-//! # Whole-plan fused execution
+//! # Execution
 //!
-//! [`FPlan::execute`] does not run the operators one at a time — and since
-//! PR 5 it no longer segments the op list either.  Selections with
-//! constants and projections, formerly *fusion barriers* that forced an
-//! arena materialisation on each side, are now overlay transforms like
-//! every structural step (`fdb_frep::ops::fuse`: a selection is a per-union
-//! entry filter composed with the liveness sweep, a projection replays as
-//! leaf removals plus swap-downs), so the **whole plan compiles into one
-//! overlay program** and pays a single arena emission no matter how many
-//! operators it chains.  Before compilation the plan is peephole-simplified
-//! against a simulated f-tree ([`FPlan::simplified`]): normalisations of an
-//! already-normalised tree (e.g. the `Normalise` after an `Absorb`, which
-//! normalises internally), identity projections, and selections made
-//! trivially total by an earlier equality selection are data no-ops and are
-//! dropped, and adjacent projections merge when the first only marks
-//! attributes.  Aggregate plans go further still:
+//! Every plan executes the same way: it is peephole-simplified against a
+//! simulated f-tree ([`FPlan::simplified`]) and the whole op list compiles
+//! into one program of the fused overlay executor (`fdb_frep::ops::fuse`),
+//! which emits a single arena however many operators the plan chains.
+//! Simplification drops data no-ops: normalisations of an already-normalised
+//! tree (e.g. the `Normalise` after an `Absorb`, which normalises
+//! internally), identity projections, and selections made trivially total
+//! by an earlier equality selection; adjacent projections merge when the
+//! first only marks attributes.  Aggregate plans go further:
 //! [`FPlan::execute_aggregate`] folds the aggregate — and the plan's
 //! trailing selections — directly over the overlay, emitting **no arena at
-//! all**.
-//!
-//! Two reference paths survive for oracles and benchmarks: the PR 2
-//! operator-at-a-time path as [`FPlan::execute_stepwise`] (the bit-for-bit
-//! oracle of the randomized equivalence suite) and the PR 3
-//! segment-at-barriers path as [`FPlan::execute_segmented`] (the baseline
-//! `bench-pr5` measures whole-plan fusion against).
+//! all**.  The thaw-path oracle (`fdb_frep::ops::oracle::execute`) is the
+//! reference every execution is tested against bit for bit.
 
-use fdb_common::{AttrId, ComparisonOp, ExecCtx, FdbError, Result, Value};
-use fdb_frep::ops::FusedOp;
+use fdb_common::{AttrId, ExecCtx, Result};
 use fdb_frep::{aggregate, ops, AggregateKind, AggregateResult, FRep};
-use fdb_ftree::{FTree, NodeId};
+use fdb_ftree::FTree;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// One f-plan operator.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FPlanOp {
-    /// Push-up `ψ_B`: lift `node` above its parent.
-    PushUp(NodeId),
-    /// Normalisation `η`: push up nodes until the tree is normalised.
-    Normalise,
-    /// Swap `χ`: exchange `node` with its parent.
-    Swap(NodeId),
-    /// Merge `µ`: fuse the two sibling nodes (enforces equality of their
-    /// classes); the first node survives.
-    Merge(NodeId, NodeId),
-    /// Absorb `α`: fuse the descendant (second) node into the ancestor
-    /// (first) node, then normalise.
-    Absorb(NodeId, NodeId),
-    /// Selection with a constant `σ_{A θ c}`.
-    SelectConst {
-        /// Attribute compared against the constant.
-        attr: AttrId,
-        /// Comparison operator.
-        op: ComparisonOp,
-        /// The constant.
-        value: Value,
-    },
-    /// Projection `π` onto the given attributes.
-    Project(BTreeSet<AttrId>),
-}
-
-impl fmt::Display for FPlanOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FPlanOp::PushUp(n) => write!(f, "ψ({n})"),
-            FPlanOp::Normalise => write!(f, "η"),
-            FPlanOp::Swap(n) => write!(f, "χ({n})"),
-            FPlanOp::Merge(a, b) => write!(f, "µ({a},{b})"),
-            FPlanOp::Absorb(a, b) => write!(f, "α({a},{b})"),
-            FPlanOp::SelectConst { attr, op, value } => write!(f, "σ({attr} {op:?} {value})"),
-            FPlanOp::Project(attrs) => write!(f, "π({} attrs)", attrs.len()),
-        }
-    }
-}
-
-impl FPlanOp {
-    /// Applies the operator to an f-tree only (schema-level simulation).
-    pub fn apply_to_tree(&self, tree: &mut FTree) -> Result<()> {
-        match self {
-            FPlanOp::PushUp(n) => tree.push_up(*n),
-            FPlanOp::Normalise => {
-                tree.normalise();
-                Ok(())
-            }
-            FPlanOp::Swap(n) => tree.swap_with_parent(*n).map(|_| ()),
-            FPlanOp::Merge(a, b) => tree.merge_siblings(*a, *b).map(|_| ()),
-            FPlanOp::Absorb(a, b) => {
-                tree.absorb_into_ancestor(*a, *b)?;
-                tree.normalise();
-                Ok(())
-            }
-            FPlanOp::SelectConst { attr, op, value } => {
-                let Some(node) = tree.node_of_attr(*attr) else {
-                    return Err(FdbError::AttributeNotInQuery {
-                        attr: format!("{attr}"),
-                    });
-                };
-                if *op == ComparisonOp::Eq {
-                    tree.bind_constant(node, *value)?;
-                }
-                Ok(())
-            }
-            FPlanOp::Project(keep) => {
-                let all = tree.all_attrs();
-                let marked: BTreeSet<AttrId> = all.difference(keep).copied().collect();
-                tree.mark_attrs_projected(&marked);
-                // Schema-level projection: repeatedly drop exhausted leaves;
-                // fully-projected inner nodes are kept (they would be swapped
-                // to leaves during execution, which does not change s(T) for
-                // the worse).
-                loop {
-                    let removable = tree.removable_projected_leaves();
-                    if removable.is_empty() {
-                        break;
-                    }
-                    for leaf in removable {
-                        tree.remove_projected_leaf(leaf)?;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Executes the operator on an f-representation (data level).
-    pub fn execute(&self, rep: &mut FRep) -> Result<()> {
-        match self {
-            FPlanOp::PushUp(n) => ops::push_up(rep, *n),
-            FPlanOp::Normalise => ops::normalise(rep).map(|_| ()),
-            FPlanOp::Swap(n) => ops::swap(rep, *n).map(|_| ()),
-            FPlanOp::Merge(a, b) => ops::merge(rep, *a, *b).map(|_| ()),
-            FPlanOp::Absorb(a, b) => ops::absorb(rep, *a, *b).map(|_| ()),
-            FPlanOp::SelectConst { attr, op, value } => ops::select_const(rep, *attr, *op, *value),
-            FPlanOp::Project(keep) => ops::project(rep, keep),
-        }
-    }
-
-    /// The fused-step form of this operator.  Total since PR 5: selections
-    /// and projections compile into overlay transforms like every structural
-    /// step.
-    pub fn to_fused(&self) -> FusedOp {
-        match self {
-            FPlanOp::PushUp(n) => FusedOp::PushUp(*n),
-            FPlanOp::Normalise => FusedOp::Normalise,
-            FPlanOp::Swap(n) => FusedOp::Swap(*n),
-            FPlanOp::Merge(a, b) => FusedOp::Merge(*a, *b),
-            FPlanOp::Absorb(a, b) => FusedOp::Absorb(*a, *b),
-            FPlanOp::SelectConst { attr, op, value } => FusedOp::SelectConst {
-                attr: *attr,
-                op: *op,
-                value: *value,
-            },
-            FPlanOp::Project(keep) => FusedOp::Project(keep.clone()),
-        }
-    }
-
-    /// Whether this operator was a *fusion barrier* before whole-plan fusion
-    /// (selections with constants and projections).  The PR 3 segmented
-    /// baseline [`FPlan::execute_segmented`] still splits at these, and the
-    /// engine counts how many of them execute inside a fused program
-    /// (`barriers_fused`).
-    pub fn is_barrier(&self) -> bool {
-        matches!(self, FPlanOp::SelectConst { .. } | FPlanOp::Project(_))
-    }
-}
+/// One f-plan operator — the step type of the fused executor, so a plan's
+/// op list *is* the program the executor runs.
+pub use fdb_frep::ops::FusedOp as FPlanOp;
 
 /// A sequence of f-plan operators.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -236,21 +95,17 @@ impl FPlan {
 
     /// Executes the plan on the representation, transforming it in place.
     ///
-    /// The plan is peephole-simplified ([`FPlan::simplified`]) and, whenever
-    /// the step-wise path would pay more than one arena pass
-    /// ([`FPlan::fuses`]), compiled **whole** — selections and projections
-    /// included — into a single overlay program that emits exactly one
-    /// arena.  The output is bit-for-bit identical to
-    /// [`FPlan::execute_stepwise`]; the only observable difference is on
-    /// error, where a failing program leaves the representation unmodified
-    /// instead of stopped at the failing operator.
+    /// The plan is peephole-simplified ([`FPlan::simplified`]) and compiled
+    /// whole — selections and projections included — into a single overlay
+    /// program that emits exactly one arena.  A failing plan leaves the
+    /// representation unmodified.
     pub fn execute(&self, rep: &mut FRep) -> Result<()> {
         self.simplified(rep.tree()).execute_presimplified(rep)
     }
 
     /// The compilation half of [`FPlan::execute`], without the peephole
     /// pass — for callers that already hold a simplified plan (the engine
-    /// simplifies once, reads the fusion counters off it for its stats,
+    /// simplifies once, reads the fusion counter off it for its stats,
     /// then executes it through this).
     pub fn execute_presimplified(&self, rep: &mut FRep) -> Result<()> {
         self.execute_presimplified_ctx(rep, &ExecCtx::unlimited())
@@ -258,64 +113,16 @@ impl FPlan {
 
     /// [`FPlan::execute_presimplified`] under a governance context: the
     /// fused program threads the context through every overlay sweep and
-    /// the final emission; the rare non-fused path (zero or one single-pass
-    /// operator) checks the context between operators and governs the
-    /// selection rebuild.  An aborted plan leaves the representation
-    /// exactly as it was — the fused executor only installs its output
-    /// arena on success, and a single governed selection rebuilds into a
-    /// fresh store before swapping it in.
+    /// the final emission.  An aborted plan leaves the representation
+    /// exactly as it was — the executor only installs its output arena on
+    /// success.
     pub fn execute_presimplified_ctx(&self, rep: &mut FRep, ctx: &ExecCtx) -> Result<()> {
-        if !self.fuses() {
-            // Zero or one single-pass operator: the overlay machinery would
-            // only add overhead.
-            for op in &self.ops {
-                ctx.check_now()?;
-                match op {
-                    FPlanOp::SelectConst { attr, op, value } => {
-                        ops::select_const_ctx(rep, *attr, *op, *value, ctx)?;
-                    }
-                    _ => op.execute(rep)?,
-                }
-            }
-            return Ok(());
-        }
-        let program: Vec<FusedOp> = self.ops.iter().map(FPlanOp::to_fused).collect();
-        ops::execute_fused_ctx(rep, &program, ctx)
-    }
-
-    /// Executes the plan operator by operator — the pre-fusion PR 2 path,
-    /// kept as the oracle for the fused executor's equivalence tests and
-    /// benchmarks.
-    pub fn execute_stepwise(&self, rep: &mut FRep) -> Result<()> {
-        for op in &self.ops {
-            op.execute(rep)?;
-        }
-        Ok(())
-    }
-
-    /// Executes the plan the PR 3 way: the op list is split into segments at
-    /// the former fusion barriers (selections and projections), each
-    /// barrier runs as its own arena pass, and each multi-step structural
-    /// segment runs as one fused pass.  Kept as the measured baseline of
-    /// `bench-pr5` (whole-plan fusion vs segmented execution) and as an
-    /// additional oracle in the equivalence suite; output arenas are
-    /// bit-for-bit identical to both other paths.
-    pub fn execute_segmented(&self, rep: &mut FRep) -> Result<()> {
-        let mut segment: Vec<FusedOp> = Vec::new();
-        for op in &self.ops {
-            if op.is_barrier() {
-                flush_segment(rep, &mut segment)?;
-                op.execute(rep)?;
-            } else {
-                segment.push(op.to_fused());
-            }
-        }
-        flush_segment(rep, &mut segment)
+        ops::execute_fused_ctx(rep, &self.ops, ctx)
     }
 
     /// Executes the plan into an **aggregate sink**: the whole plan —
-    /// barriers included — is applied only to the fused overlay and the
-    /// aggregate is folded over the overlay itself
+    /// selections and projections included — is applied only to the fused
+    /// overlay and the aggregate is folded over the overlay itself
     /// ([`ops::execute_fused_aggregate`]), with the plan's trailing
     /// selections folded into the accumulation as entry filters.  **No
     /// arena is emitted at any point**: the input is borrowed, never cloned
@@ -362,8 +169,7 @@ impl FPlan {
         if self.ops.is_empty() {
             return Ok((aggregate::evaluate_ctx(rep, kind, group_by, ctx)?, false));
         }
-        let program: Vec<FusedOp> = self.ops.iter().map(FPlanOp::to_fused).collect();
-        let result = ops::execute_fused_aggregate_ctx(rep, &program, kind, group_by, ctx)?;
+        let result = ops::execute_fused_aggregate_ctx(rep, &self.ops, kind, group_by, ctx)?;
         Ok((result, true))
     }
 
@@ -449,38 +255,10 @@ impl FPlan {
         FPlan { ops: out }
     }
 
-    /// Whole-plan fusion criterion: the plan compiles into one overlay
-    /// program when the step-wise path would pay more than one arena pass —
-    /// two or more operators, or a single internally multi-pass operator
-    /// (normalise, absorb, projection).  A lone single-pass operator (swap,
-    /// push-up, merge, selection) runs directly; the overlay would only add
-    /// overhead.
+    /// Whether executing the plan runs a fused overlay program: every
+    /// non-empty plan does (the empty plan is the identity).
     pub fn fuses(&self) -> bool {
-        self.ops.len() >= 2
-            || matches!(
-                self.ops.first(),
-                Some(FPlanOp::Normalise | FPlanOp::Absorb(_, _) | FPlanOp::Project(_))
-            )
-    }
-
-    /// Number of former fusion barriers (selections with constants,
-    /// projections) in the plan.  When the plan fuses, these execute inside
-    /// the overlay program instead of as standalone arena passes — the
-    /// engine reports the count as `barriers_fused`.
-    pub fn barrier_count(&self) -> usize {
-        self.ops.iter().filter(|op| op.is_barrier()).count()
-    }
-
-    /// Lower bound on the intermediate arenas whole-plan fused execution
-    /// skips relative to the step-wise path: one per operator beyond the
-    /// single emission (internally multi-pass operators skip more).  Zero
-    /// when the plan does not fuse.
-    pub fn arenas_skipped(&self) -> usize {
-        if self.fuses() {
-            self.ops.len() - 1
-        } else {
-            0
-        }
+        !self.ops.is_empty()
     }
 }
 
@@ -498,44 +276,6 @@ fn projection_only_marks(tree: &FTree, keep: &BTreeSet<AttrId>) -> bool {
         .all(|n| !probe.visible_attrs(n).is_empty())
 }
 
-/// The PR 3 segment-fusion criterion, used by [`FPlan::execute_segmented`]:
-/// a structural run executes as one fused pass when the step-wise path would
-/// pay more than one arena pass — two or more steps, or a single internally
-/// multi-pass normalise/absorb.
-fn segment_fuses(segment: &[FusedOp]) -> bool {
-    segment.len() >= 2
-        || matches!(
-            segment.first(),
-            Some(FusedOp::Normalise | FusedOp::Absorb(_, _))
-        )
-}
-
-/// Executes and clears a pending structural segment of the segmented
-/// baseline: fused when [`segment_fuses`] says so, as the single step-wise
-/// operator otherwise.
-fn flush_segment(rep: &mut FRep, segment: &mut Vec<FusedOp>) -> Result<()> {
-    if segment.is_empty() {
-        return Ok(());
-    }
-    let result = if segment_fuses(segment) {
-        ops::execute_fused(rep, segment)
-    } else {
-        match &segment[0] {
-            FusedOp::PushUp(n) => ops::push_up(rep, *n),
-            FusedOp::Swap(n) => ops::swap(rep, *n).map(|_| ()),
-            FusedOp::Merge(a, b) => ops::merge(rep, *a, *b).map(|_| ()),
-            FusedOp::Normalise
-            | FusedOp::Absorb(_, _)
-            | FusedOp::SelectConst { .. }
-            | FusedOp::Project(_) => {
-                unreachable!("multi-pass ops handled above; barriers never enter a segment")
-            }
-        }
-    };
-    segment.clear();
-    result
-}
-
 impl fmt::Display for FPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let parts: Vec<String> = self.ops.iter().map(|op| op.to_string()).collect();
@@ -546,8 +286,9 @@ impl fmt::Display for FPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdb_common::{ComparisonOp, FdbError, Value};
     use fdb_frep::{Entry, Union};
-    use fdb_ftree::DepEdge;
+    use fdb_ftree::{DepEdge, NodeId};
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()
@@ -649,8 +390,7 @@ mod tests {
         let rep = sample_rep();
         let oid = rep.tree().node_of_attr(AttrId(1)).unwrap();
         let supplier = rep.tree().node_of_attr(AttrId(3)).unwrap();
-        // A multi-step structural segment followed by a barrier and another
-        // structural step.
+        // Structural steps, then a selection, then another structural step.
         let plan = FPlan::new(vec![
             FPlanOp::Swap(oid),
             FPlanOp::Normalise,
@@ -662,15 +402,15 @@ mod tests {
             FPlanOp::Swap(supplier),
         ]);
         let mut fused = rep.clone();
-        let mut stepwise = rep;
+        let mut reference = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
+        ops::oracle::execute(&mut reference, &plan.ops).unwrap();
         fused.validate().unwrap();
         assert!(
-            fused.store_identical(&stepwise),
-            "fused:\n{}\nstepwise:\n{}",
+            fused.store_identical(&reference),
+            "fused:\n{}\noracle:\n{}",
             fused.dump_store(),
-            stepwise.dump_store()
+            reference.dump_store()
         );
     }
 
@@ -704,10 +444,10 @@ mod tests {
         );
         // Same result either way, bit for bit.
         let mut fused = rep.clone();
-        let mut stepwise = rep;
+        let mut reference = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
-        assert!(fused.store_identical(&stepwise));
+        ops::oracle::execute(&mut reference, &plan.ops).unwrap();
+        assert!(fused.store_identical(&reference));
         let _ = supplier_node;
     }
 
@@ -804,61 +544,27 @@ mod tests {
     }
 
     #[test]
-    fn segmented_baseline_matches_the_other_paths() {
-        let rep = sample_rep();
-        let oid = rep.tree().node_of_attr(AttrId(1)).unwrap();
-        let plan = FPlan::new(vec![
-            FPlanOp::Swap(oid),
-            FPlanOp::Normalise,
-            FPlanOp::SelectConst {
-                attr: AttrId(3),
-                op: ComparisonOp::Ge,
-                value: Value::new(7),
-            },
-            FPlanOp::Project(attrs(&[1, 3])),
-        ]);
-        let mut fused = rep.clone();
-        let mut segmented = rep.clone();
-        let mut stepwise = rep;
-        plan.execute(&mut fused).unwrap();
-        plan.execute_segmented(&mut segmented).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
-        assert!(fused.store_identical(&segmented));
-        assert!(segmented.store_identical(&stepwise));
-    }
-
-    #[test]
     fn fusion_counters_reflect_the_whole_plan() {
         let oid = NodeId(1);
-        let plan = FPlan::new(vec![
-            FPlanOp::Swap(oid),
-            FPlanOp::Normalise,
-            FPlanOp::SelectConst {
+        // Every non-empty plan runs as one fused program, a lone single-pass
+        // operator included; only the empty plan runs nothing.
+        for plan in [
+            FPlan::new(vec![FPlanOp::Swap(oid)]),
+            FPlan::new(vec![FPlanOp::SelectConst {
                 attr: AttrId(3),
                 op: ComparisonOp::Eq,
                 value: Value::new(7),
-            },
-            FPlanOp::Swap(oid),
-            FPlanOp::Project(attrs(&[1])),
-            FPlanOp::Normalise,
-        ]);
-        assert!(plan.fuses());
-        assert_eq!(plan.barrier_count(), 2);
-        assert_eq!(plan.arenas_skipped(), 5, "six ops, one emission");
-        // Single single-pass operators do not fuse…
-        assert!(!FPlan::new(vec![FPlanOp::Swap(oid)]).fuses());
-        assert_eq!(FPlan::new(vec![FPlanOp::Swap(oid)]).arenas_skipped(), 0);
-        assert!(!FPlan::new(vec![FPlanOp::SelectConst {
-            attr: AttrId(3),
-            op: ComparisonOp::Eq,
-            value: Value::new(7),
-        }])
-        .fuses());
-        // …but single internally multi-pass operators do.
-        assert!(FPlan::new(vec![FPlanOp::Normalise]).fuses());
-        assert!(FPlan::new(vec![FPlanOp::Project(attrs(&[1]))]).fuses());
+            }]),
+            FPlan::new(vec![FPlanOp::Normalise]),
+            FPlan::new(vec![
+                FPlanOp::Swap(oid),
+                FPlanOp::Project(attrs(&[1])),
+                FPlanOp::Normalise,
+            ]),
+        ] {
+            assert!(plan.fuses(), "{plan}");
+        }
         assert!(!FPlan::empty().fuses());
-        assert_eq!(FPlan::empty().arenas_skipped(), 0);
     }
 
     #[test]
@@ -879,12 +585,12 @@ mod tests {
             vec![FPlanOp::Project(attrs(&[0, 1]))],
             "adjacent projections merge into the intersection"
         );
-        // Bit-for-bit: merged execution equals the sequential step-wise run.
+        // Bit-for-bit: merged execution equals the oracle run op by op.
         let mut fused = rep.clone();
-        let mut stepwise = rep;
+        let mut reference = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
-        assert!(fused.store_identical(&stepwise));
+        ops::oracle::execute(&mut reference, &plan.ops).unwrap();
+        assert!(fused.store_identical(&reference));
     }
 
     #[test]
@@ -900,10 +606,10 @@ mod tests {
         let simplified = plan.simplified(rep.tree());
         assert_eq!(simplified.ops.len(), 2, "node-removing projections stay");
         let mut fused = rep.clone();
-        let mut stepwise = rep;
+        let mut reference = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
-        assert!(fused.store_identical(&stepwise));
+        ops::oracle::execute(&mut reference, &plan.ops).unwrap();
+        assert!(fused.store_identical(&reference));
     }
 
     #[test]
@@ -930,10 +636,126 @@ mod tests {
             vec![select(ComparisonOp::Eq, 1), select(ComparisonOp::Eq, 2)]
         );
         let mut fused = rep.clone();
-        let mut stepwise = rep;
+        let mut reference = rep;
         plan.execute(&mut fused).unwrap();
-        plan.execute_stepwise(&mut stepwise).unwrap();
-        assert!(fused.store_identical(&stepwise));
+        ops::oracle::execute(&mut reference, &plan.ops).unwrap();
+        assert!(fused.store_identical(&reference));
         assert!(fused.represents_empty());
+    }
+
+    /// A{0} → B{1} → C{2} over R{0,1} and S{2}: C depends on neither A nor
+    /// B, so the tree is not normalised and C can be pushed up.
+    fn free_leaf_rep() -> FRep {
+        let edges = vec![
+            DepEdge::new("R", attrs(&[0, 1]), 3),
+            DepEdge::new("S", attrs(&[2]), 2),
+        ];
+        let mut tree = FTree::new(edges);
+        let a = tree.add_node(attrs(&[0]), None).unwrap();
+        let b = tree.add_node(attrs(&[1]), Some(a)).unwrap();
+        let c = tree.add_node(attrs(&[2]), Some(b)).unwrap();
+        let c_union = || {
+            Union::new(
+                c,
+                vec![Entry::leaf(Value::new(5)), Entry::leaf(Value::new(6))],
+            )
+        };
+        let b_entry = |v: u64| Entry {
+            value: Value::new(v),
+            children: vec![c_union()],
+        };
+        let u = Union::new(
+            a,
+            vec![
+                Entry {
+                    value: Value::new(1),
+                    children: vec![Union::new(b, vec![b_entry(10), b_entry(11)])],
+                },
+                Entry {
+                    value: Value::new(2),
+                    children: vec![Union::new(b, vec![b_entry(12)])],
+                },
+            ],
+        );
+        FRep::from_parts(tree, vec![u]).unwrap()
+    }
+
+    #[test]
+    fn governed_aborts_leave_the_input_untouched() {
+        use fdb_common::QueryLimits;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let sample = sample_rep();
+        let item = sample.tree().node_of_attr(AttrId(0)).unwrap();
+        let oid = sample.tree().node_of_attr(AttrId(1)).unwrap();
+        let supplier = sample.tree().node_of_attr(AttrId(3)).unwrap();
+        let free = free_leaf_rep();
+        let b = free.tree().node_of_attr(AttrId(1)).unwrap();
+        let c = free.tree().node_of_attr(AttrId(2)).unwrap();
+        // Each of the seven operators as a one-op plan, plus one multi-op
+        // plan; every plan succeeds when ungoverned.
+        let cases = [
+            (&free, FPlan::new(vec![FPlanOp::PushUp(c)])),
+            (&free, FPlan::new(vec![FPlanOp::Normalise])),
+            (&free, FPlan::new(vec![FPlanOp::Swap(b)])),
+            (&sample, FPlan::new(vec![FPlanOp::Merge(oid, supplier)])),
+            (&sample, FPlan::new(vec![FPlanOp::Absorb(item, oid)])),
+            (
+                &sample,
+                FPlan::new(vec![FPlanOp::SelectConst {
+                    attr: AttrId(3),
+                    op: ComparisonOp::Ge,
+                    value: Value::new(8),
+                }]),
+            ),
+            (&sample, FPlan::new(vec![FPlanOp::Project(attrs(&[1, 3]))])),
+            (
+                &sample,
+                FPlan::new(vec![
+                    FPlanOp::Swap(oid),
+                    FPlanOp::SelectConst {
+                        attr: AttrId(3),
+                        op: ComparisonOp::Le,
+                        value: Value::new(7),
+                    },
+                    FPlanOp::Project(attrs(&[1, 3])),
+                ]),
+            ),
+        ];
+        for (rep, plan) in cases {
+            plan.execute_presimplified(&mut rep.clone())
+                .unwrap_or_else(|e| panic!("{plan}: ungoverned run failed: {e:?}"));
+
+            let cancelled = QueryLimits::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+            let mut target = rep.clone();
+            let err = plan
+                .execute_presimplified_ctx(&mut target, &ExecCtx::new(&cancelled))
+                .unwrap_err();
+            assert!(
+                matches!(err, FdbError::DeadlineExceeded { limit_ms: 0 }),
+                "{plan}: cancellation reported as {err:?}"
+            );
+            assert!(
+                target.store_identical(rep),
+                "{plan}: cancelled run modified its input"
+            );
+            assert_eq!(target.tree().canonical_key(), rep.tree().canonical_key());
+
+            let exhausted = QueryLimits::unlimited().with_budget(0);
+            let mut target = rep.clone();
+            let err = plan
+                .execute_presimplified_ctx(&mut target, &ExecCtx::new(&exhausted))
+                .unwrap_err();
+            assert!(
+                matches!(err, FdbError::BudgetExceeded { limit: 0 }),
+                "{plan}: exhausted budget reported as {err:?}"
+            );
+            assert!(
+                target.store_identical(rep),
+                "{plan}: over-budget run modified its input"
+            );
+            assert_eq!(target.tree().canonical_key(), rep.tree().canonical_key());
+        }
     }
 }

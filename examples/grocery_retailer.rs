@@ -12,6 +12,7 @@
 use fdb::datagen::grocery::{grocery_database, DISPATCHERS, ITEMS, LOCATIONS, SUPPLIERS};
 use fdb::engine::{FactorisedQuery, FdbEngine};
 use fdb::frep::{materialize, ops};
+use fdb::plan::{FPlan, FPlanOp};
 
 fn main() {
     let grocery = grocery_database();
@@ -46,7 +47,9 @@ fn main() {
         .tree()
         .node_of_attr(grocery.attr("Store.location"))
         .expect("location labels a node");
-    ops::swap(&mut regrouped, location_node).expect("swap is valid");
+    FPlan::new(vec![FPlanOp::Swap(location_node)])
+        .execute(&mut regrouped)
+        .expect("swap is valid");
     print!("{}", regrouped.tree().render(attr_name));
     println!("size after regrouping: {} singletons", regrouped.size());
 

@@ -406,7 +406,12 @@ fn edge_case_representations_agree_across_all_three_paths() {
 
     // Empty result: COUNT/SUM are 0, MIN/MAX/AVG are None on all paths.
     let mut empty = singleton.clone();
-    ops::select_const(&mut empty, AttrId(0), ComparisonOp::Eq, Value::new(99)).unwrap();
+    let unsatisfiable = FusedOp::SelectConst {
+        attr: AttrId(0),
+        op: ComparisonOp::Eq,
+        value: Value::new(99),
+    };
+    ops::execute_fused(&mut empty, &[unsatisfiable]).unwrap();
     assert!(empty.represents_empty());
     check_all_paths(&empty, "empty representation");
     assert_eq!(

@@ -4,17 +4,17 @@
 //! the representation statistics must be invariant under the builder-form
 //! round trip (`to_forest` / `from_parts`).
 //!
-//! Since PR 2 the structural operators rewrite arena-to-arena; the
-//! randomized property tests in the second half of this file assert that on
-//! generated f-representations every arena-native operator produces a store
+//! The randomized property tests in the second half of this file assert
+//! that on generated f-representations the fused executor — every operator
+//! as a one-op program, and random multi-op plans — produces a store
 //! **bit-for-bit identical** (`FRep::store_identical`, checked after
 //! `validate()`) to the thaw-path oracle in `fdb::frep::ops::oracle`,
-//! including empty-union and single-entry edge cases.
+//! including empty-union, single-entry and forest edge cases.
 
 use fdb::common::{AttrId, ComparisonOp, Query, RelId, Value};
 use fdb::datagen::{grocery_database, populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::FdbEngine;
-use fdb::frep::ops::{self, oracle};
+use fdb::frep::ops::{execute_fused, oracle, FusedOp};
 use fdb::frep::{for_each_tuple, materialize, Entry, FRep, Union};
 use fdb::ftree::{DepEdge, FTree, NodeId};
 use fdb::relation::{Database, RdbEngine};
@@ -163,110 +163,102 @@ fn randomized_grocery_scale_workloads_agree_with_the_flat_path() {
 }
 
 // ---------------------------------------------------------------------
-// PR 2: arena-native structural operators vs the thaw-path oracle
+// One-op fused programs vs the thaw-path oracle
 // ---------------------------------------------------------------------
 
-fn assert_identical(arena: &FRep, reference: &FRep, context: &str) {
-    arena
+/// Runs `program` through the fused executor and through the oracle and
+/// asserts both accept it and produce bit-for-bit identical stores.
+fn assert_matches_oracle(rep: &FRep, program: &[FusedOp], context: &str) {
+    let mut fused = rep.clone();
+    let mut reference = rep.clone();
+    execute_fused(&mut fused, program)
+        .unwrap_or_else(|e| panic!("{context}: fused {program:?} failed: {e:?}"));
+    oracle::execute(&mut reference, program)
+        .unwrap_or_else(|e| panic!("{context}: oracle {program:?} failed: {e:?}"));
+    fused
         .validate()
-        .unwrap_or_else(|e| panic!("{context}: arena-native result invalid: {e:?}"));
+        .unwrap_or_else(|e| panic!("{context}: fused result invalid: {e:?}"));
     reference
         .validate()
         .unwrap_or_else(|e| panic!("{context}: oracle result invalid: {e:?}"));
     assert!(
-        arena.store_identical(reference),
-        "{context}: stores diverge\narena:\n{}\noracle:\n{}",
-        arena.dump_store(),
+        fused.store_identical(&reference),
+        "{context}: {program:?}: stores diverge\nfused:\n{}\noracle:\n{}",
+        fused.dump_store(),
         reference.dump_store()
+    );
+    assert_eq!(
+        fused.tree().canonical_key(),
+        reference.tree().canonical_key(),
+        "{context}: {program:?}: trees diverge"
     );
 }
 
-/// Applies every applicable structural operator to clones of `rep`, both
-/// arena-native and through the thaw-path oracle, and asserts the stores
-/// come out bit-for-bit identical.
+/// Runs every applicable operator on `rep` as a one-op fused program and
+/// asserts each matches the thaw-path oracle bit for bit.
 fn check_structural_ops_against_oracle(rep: &FRep, rng: &mut StdRng, context: &str) {
-    // Canonicalise the input to the freeze layout first: an operator that
-    // turns out to be a no-op (e.g. normalise on an already-normalised tree)
-    // leaves the arena untouched, while the oracle always re-freezes — the
-    // two can only be bit-identical if the input already is.
+    // Canonicalise the input to the freeze layout first: direct
+    // construction lays entry blocks out differently, while both the
+    // executor and the oracle emit the freeze layout.
     let rep = &FRep::from_parts(rep.tree().clone(), rep.to_forest())
         .unwrap_or_else(|e| panic!("{context}: canonicalisation rejected: {e:?}"));
     let tree = rep.tree();
     let nodes: Vec<NodeId> = tree.node_ids();
-
-    // Swap χ: every non-root node.
+    let mut programs: Vec<FusedOp> = vec![FusedOp::Normalise];
     for &node in &nodes {
-        if tree.parent(node).is_none() {
-            continue;
+        // Swap χ: every non-root node.
+        if tree.parent(node).is_some() {
+            programs.push(FusedOp::Swap(node));
         }
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        let got = ops::swap(&mut arena, node).expect("arena swap applies");
-        let want = oracle::swap(&mut reference, node).expect("oracle swap applies");
-        assert_eq!(got, want, "{context}: swap({node}) outcome");
-        assert_identical(&arena, &reference, &format!("{context}: swap({node})"));
-    }
-
-    // Push-up ψ / normalisation η wherever the tree allows it.
-    for &node in &nodes {
-        if !tree.can_push_up(node) {
-            continue;
+        // Push-up ψ wherever the tree allows it.
+        if tree.can_push_up(node) {
+            programs.push(FusedOp::PushUp(node));
         }
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        ops::push_up(&mut arena, node).expect("arena push-up applies");
-        oracle::push_up(&mut reference, node).expect("oracle push-up applies");
-        assert_identical(&arena, &reference, &format!("{context}: push_up({node})"));
     }
-    {
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        let got = ops::normalise(&mut arena).expect("arena normalise applies");
-        let want = oracle::normalise(&mut reference).expect("oracle normalise applies");
-        assert_eq!(got, want, "{context}: normalise sequence");
-        assert_identical(&arena, &reference, &format!("{context}: normalise"));
-    }
-
-    // Merge µ: every ordered sibling pair.
     for &a in &nodes {
         for &b in &nodes {
-            if a == b || !tree.are_siblings(a, b) {
-                continue;
+            // Merge µ: every ordered sibling pair.
+            if a != b && tree.are_siblings(a, b) {
+                programs.push(FusedOp::Merge(a, b));
             }
-            let mut arena = rep.clone();
-            let mut reference = rep.clone();
-            ops::merge(&mut arena, a, b).expect("arena merge applies");
-            oracle::merge(&mut reference, a, b).expect("oracle merge applies");
-            assert_identical(&arena, &reference, &format!("{context}: merge({a},{b})"));
+            // Absorb α: every ancestor/descendant pair.
+            if tree.is_ancestor(a, b) {
+                programs.push(FusedOp::Absorb(a, b));
+            }
         }
     }
-
-    // Absorb α: every ancestor/descendant pair.
-    for &a in &nodes {
-        for &b in &nodes {
-            if !tree.is_ancestor(a, b) {
-                continue;
-            }
-            let mut arena = rep.clone();
-            let mut reference = rep.clone();
-            let got = ops::absorb(&mut arena, a, b).expect("arena absorb applies");
-            let want = oracle::absorb(&mut reference, a, b).expect("oracle absorb applies");
-            assert_eq!(got, want, "{context}: absorb({a},{b}) push-ups");
-            assert_identical(&arena, &reference, &format!("{context}: absorb({a},{b})"));
-        }
-    }
-
-    // Projection π onto a random attribute subset (and the empty one).
     let all: Vec<AttrId> = rep.visible_attrs();
-    let mut keeps: Vec<BTreeSet<AttrId>> = vec![BTreeSet::new()];
-    let random_keep: BTreeSet<AttrId> = all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
-    keeps.push(random_keep);
-    for keep in keeps {
-        let mut arena = rep.clone();
-        let mut reference = rep.clone();
-        ops::project(&mut arena, &keep).expect("arena projection applies");
-        oracle::project(&mut reference, &keep).expect("oracle projection applies");
-        assert_identical(&arena, &reference, &format!("{context}: project({keep:?})"));
+    // Selection σ: every attribute under a random comparison, plus one
+    // selection no value satisfies.
+    for &attr in &all {
+        let op = [
+            ComparisonOp::Eq,
+            ComparisonOp::Ne,
+            ComparisonOp::Lt,
+            ComparisonOp::Le,
+            ComparisonOp::Gt,
+            ComparisonOp::Ge,
+        ][rng.gen_range(0..6usize)];
+        programs.push(FusedOp::SelectConst {
+            attr,
+            op,
+            value: Value::new(rng.gen_range(0..8u64)),
+        });
+    }
+    if let Some(&attr) = all.first() {
+        programs.push(FusedOp::SelectConst {
+            attr,
+            op: ComparisonOp::Gt,
+            value: Value::MAX,
+        });
+    }
+    // Projection π onto a random attribute subset (and the empty one).
+    programs.push(FusedOp::Project(BTreeSet::new()));
+    programs.push(FusedOp::Project(
+        all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect(),
+    ));
+    for op in programs {
+        assert_matches_oracle(rep, &[op], context);
     }
 }
 
@@ -329,8 +321,7 @@ fn structural_ops_match_the_oracle_on_empty_and_singleton_representations() {
 
     // The same tree with empty root unions: the empty-union edge case.  An
     // unsatisfiable selection produces the canonical empty representation.
-    let mut empty = singleton.clone();
-    fdb::frep::ops::select_const(&mut empty, AttrId(0), ComparisonOp::Eq, Value::new(99)).unwrap();
+    let empty = unsatisfiable_selection(&singleton);
     assert!(empty.represents_empty());
     check_structural_ops_against_oracle(&empty, &mut rng, "empty representation");
 
@@ -352,6 +343,21 @@ fn structural_ops_match_the_oracle_on_empty_and_singleton_representations() {
     )
     .unwrap();
     check_structural_ops_against_oracle(&forest, &mut rng, "forest with an empty root");
+}
+
+/// `rep` after a selection on attribute 0 that no value satisfies.
+fn unsatisfiable_selection(rep: &FRep) -> FRep {
+    let mut empty = rep.clone();
+    execute_fused(
+        &mut empty,
+        &[FusedOp::SelectConst {
+            attr: AttrId(0),
+            op: ComparisonOp::Eq,
+            value: Value::new(99),
+        }],
+    )
+    .unwrap();
+    empty
 }
 
 #[test]
@@ -391,7 +397,7 @@ fn direct_arena_construction_agrees_with_the_forest_oracle() {
 
 #[test]
 fn selections_preserve_the_equivalence() {
-    // Constant selections exercise the arena-native filtered rebuild.
+    // Constant selections exercise the executor's filtered liveness sweep.
     let g = grocery_database();
     let item = g.attr("Orders.item");
     for (op, value) in [
@@ -414,18 +420,16 @@ fn selections_preserve_the_equivalence() {
 }
 
 // ---------------------------------------------------------------------
-// PR 3/PR 5: fused plan execution vs the step-wise path — since PR 5 the
-// whole plan (selections and projections included) compiles into one
-// overlay program, so every randomized plan below exercises whole-plan
-// fusion, the PR 3 segmented baseline and the PR 2 step-wise oracle.
+// Multi-op plans vs the thaw-path oracle: the whole plan (selections and
+// projections included) compiles into one overlay program, which must match
+// the oracle run one operator at a time.
 // ---------------------------------------------------------------------
 
 use fdb::plan::{FPlan, FPlanOp};
 
 /// Generates a random valid multi-op plan by simulating candidate operators
 /// on the f-tree: structural steps (swap, push-up, merge, absorb, normalise)
-/// plus occasional barriers (selections with constants, projections), so the
-/// plan exercises both fused segments and segment boundaries.
+/// plus, with `barriers`, selections with constants and projections.
 fn random_plan(rng: &mut StdRng, tree: &fdb::ftree::FTree, steps: usize, barriers: bool) -> FPlan {
     let mut cur = tree.clone();
     let mut ops: Vec<FPlanOp> = Vec::new();
@@ -482,26 +486,19 @@ fn random_plan(rng: &mut StdRng, tree: &fdb::ftree::FTree, steps: usize, barrier
     FPlan::new(ops)
 }
 
-/// Executes the plan all three ways — whole-plan fused, PR 3 segmented, and
-/// PR 2 step-wise — and asserts the arenas are bit-for-bit identical (store
-/// identity), the fused result validates, and the represented relations
-/// agree.
-fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
+/// Executes the plan through [`FPlan::execute`] (simplified, one fused
+/// program) and through the oracle one operator at a time, and asserts the
+/// arenas are bit-for-bit identical (store identity), the fused result
+/// validates, and the represented relations agree.
+fn check_plan_against_oracle(rep: &FRep, plan: &FPlan, context: &str) {
     let mut fused = rep.clone();
-    let mut segmented = rep.clone();
-    let mut stepwise = rep.clone();
+    let mut reference = rep.clone();
     let fused_result = plan.execute(&mut fused);
-    let segmented_result = plan.execute_segmented(&mut segmented);
-    let stepwise_result = plan.execute_stepwise(&mut stepwise);
+    let oracle_result = oracle::execute(&mut reference, &plan.ops);
     assert_eq!(
         fused_result.is_ok(),
-        stepwise_result.is_ok(),
-        "{context}: paths disagree on plan validity ({fused_result:?} vs {stepwise_result:?})"
-    );
-    assert_eq!(
-        segmented_result.is_ok(),
-        stepwise_result.is_ok(),
-        "{context}: segmented baseline disagrees on plan validity"
+        oracle_result.is_ok(),
+        "{context}: paths disagree on plan validity ({fused_result:?} vs {oracle_result:?})"
     );
     if fused_result.is_err() {
         return;
@@ -510,23 +507,19 @@ fn check_fused_against_stepwise(rep: &FRep, plan: &FPlan, context: &str) {
         .validate()
         .unwrap_or_else(|e| panic!("{context}: fused result invalid: {e:?}"));
     assert!(
-        fused.store_identical(&stepwise),
-        "{context}: plan {plan} — fused and step-wise stores diverge\nfused:\n{}\nstep-wise:\n{}",
+        fused.store_identical(&reference),
+        "{context}: plan {plan} — fused and oracle stores diverge\nfused:\n{}\noracle:\n{}",
         fused.dump_store(),
-        stepwise.dump_store()
-    );
-    assert!(
-        segmented.store_identical(&stepwise),
-        "{context}: plan {plan} — segmented baseline diverges from step-wise"
+        reference.dump_store()
     );
     assert_eq!(
         fused.tree().canonical_key(),
-        stepwise.tree().canonical_key(),
+        reference.tree().canonical_key(),
         "{context}: trees diverge"
     );
     assert_eq!(
         enumerated_tuple_counts(&fused),
-        enumerated_tuple_counts(&stepwise),
+        enumerated_tuple_counts(&reference),
         "{context}: represented relations diverge"
     );
 }
@@ -552,14 +545,14 @@ fn randomized_fused_plans_match_the_stepwise_path() {
             .expect("FDB evaluates")
             .result;
 
-        // Pure structural plans (one fused segment) of increasing length.
+        // Pure structural plans of increasing length.
         for steps in [3usize, 5] {
             let plan = random_plan(&mut rng, rep.tree(), steps, false);
-            check_fused_against_stepwise(&rep, &plan, &format!("seed {seed}, k={steps}"));
+            check_plan_against_oracle(&rep, &plan, &format!("seed {seed}, k={steps}"));
         }
-        // Mixed plans with barriers (multiple segments).
+        // Mixed plans with selections and projections.
         let plan = random_plan(&mut rng, rep.tree(), 6, true);
-        check_fused_against_stepwise(&rep, &plan, &format!("seed {seed}, mixed"));
+        check_plan_against_oracle(&rep, &plan, &format!("seed {seed}, mixed"));
     }
 }
 
@@ -596,31 +589,30 @@ fn fused_plans_match_the_stepwise_path_on_edge_case_representations() {
     .unwrap();
     for trial in 0..8 {
         let plan = random_plan(&mut rng, singleton.tree(), 4, trial % 2 == 1);
-        check_fused_against_stepwise(&singleton, &plan, &format!("singleton trial {trial}"));
+        check_plan_against_oracle(&singleton, &plan, &format!("singleton trial {trial}"));
     }
-    // Explicit single-segment plans on the chain.
-    check_fused_against_stepwise(
+    // Explicit structural plans on the chain.
+    check_plan_against_oracle(
         &singleton,
         &FPlan::new(vec![FPlanOp::Swap(b), FPlanOp::Swap(c)]),
-        "singleton single segment",
+        "singleton swaps",
     );
-    check_fused_against_stepwise(
+    check_plan_against_oracle(
         &singleton,
         &FPlan::new(vec![FPlanOp::Absorb(a, c), FPlanOp::Normalise]),
-        "singleton absorb segment",
+        "singleton absorb",
     );
 
     // Empty-result representation: an unsatisfiable selection first, then
     // structural plans over the empty arena.
-    let mut empty = singleton.clone();
-    fdb::frep::ops::select_const(&mut empty, AttrId(0), ComparisonOp::Eq, Value::new(99)).unwrap();
+    let empty = unsatisfiable_selection(&singleton);
     assert!(empty.represents_empty());
     for trial in 0..8 {
         let plan = random_plan(&mut rng, empty.tree(), 4, trial % 2 == 1);
-        check_fused_against_stepwise(&empty, &plan, &format!("empty trial {trial}"));
+        check_plan_against_oracle(&empty, &plan, &format!("empty trial {trial}"));
     }
 
-    // A plan that empties the result mid-segment: merge over disjoint value
+    // A plan that empties the result mid-program: merge over disjoint value
     // sets, then further restructuring of the emptied representation.
     let side = |root_attr: u32, child_attr: u32, name: &str, v: u64| {
         let edges = vec![DepEdge::new(name, attrs(&[root_attr, child_attr]), 1)];
@@ -643,7 +635,7 @@ fn fused_plans_match_the_stepwise_path_on_edge_case_representations() {
     let ra = product.tree().node_of_attr(AttrId(0)).unwrap();
     let sa = product.tree().node_of_attr(AttrId(2)).unwrap();
     let rb = product.tree().node_of_attr(AttrId(1)).unwrap();
-    check_fused_against_stepwise(
+    check_plan_against_oracle(
         &product,
         &FPlan::new(vec![
             FPlanOp::Merge(ra, sa),
@@ -656,10 +648,9 @@ fn fused_plans_match_the_stepwise_path_on_edge_case_representations() {
 
 #[test]
 fn barrier_only_plans_fuse_into_one_program() {
-    // Plans made exclusively of former fusion barriers (selections and
-    // projections, zero structural steps between them) now compile into a
-    // single overlay program like any other plan — including back-to-back
-    // barriers — and still match the step-wise path bit for bit.
+    // Plans made exclusively of selections and projections (zero structural
+    // steps between them) compile into a single overlay program like any
+    // other plan and match the oracle bit for bit.
     let g = grocery_database();
     let rep = FdbEngine::new()
         .evaluate_flat(&g.db, &g.q1())
@@ -692,12 +683,11 @@ fn barrier_only_plans_fuse_into_one_program() {
     ]);
     let simplified = plan.simplified(rep.tree());
     assert!(simplified.fuses(), "barrier-only plans fuse whole");
-    assert_eq!(
-        simplified.barrier_count(),
-        simplified.len(),
-        "every operator of a barrier-only plan is a former barrier"
-    );
-    check_fused_against_stepwise(&rep, &plan, "barrier-only plan");
+    assert!(simplified
+        .ops
+        .iter()
+        .all(|op| matches!(op, FPlanOp::SelectConst { .. } | FPlanOp::Project(_))));
+    check_plan_against_oracle(&rep, &plan, "barrier-only plan");
 
     // The same plan consumed by the aggregate sink runs entirely on the
     // overlay: passes for the leading barriers, a folded filter for the
@@ -720,7 +710,7 @@ fn barrier_only_plans_fuse_into_one_program() {
 fn selection_emptying_a_mid_tree_union_matches_the_stepwise_path() {
     // A selection on an inner attribute that nothing satisfies: the emptied
     // unions must cascade through the folded liveness sweep exactly like
-    // the step-wise retain-and-prune, both alone and mid-program.
+    // the oracle's prune, both alone and mid-program.
     let g = grocery_database();
     let rep = FdbEngine::new()
         .evaluate_flat(&g.db, &g.q1())
@@ -734,12 +724,12 @@ fn selection_emptying_a_mid_tree_union_matches_the_stepwise_path() {
         op: ComparisonOp::Gt,
         value: Value::new(1_000_000),
     };
-    check_fused_against_stepwise(
+    check_plan_against_oracle(
         &rep,
         &FPlan::new(vec![unsatisfiable.clone()]),
         "unsatisfiable selection alone",
     );
-    check_fused_against_stepwise(
+    check_plan_against_oracle(
         &rep,
         &FPlan::new(vec![
             FPlanOp::Swap(oid_node),
@@ -768,7 +758,7 @@ fn selection_then_projection_and_projection_then_structural_match() {
     let keep: BTreeSet<AttrId> = [oid, dispatcher].into_iter().collect();
 
     // Selection then projection, fused into one program.
-    check_fused_against_stepwise(
+    check_plan_against_oracle(
         &rep,
         &FPlan::new(vec![
             FPlanOp::SelectConst {
@@ -789,14 +779,14 @@ fn selection_then_projection_and_projection_then_structural_match() {
         .filter(|&a| a != dispatcher)
         .collect();
     let mut projected = rep.clone();
-    fdb::frep::ops::project(&mut projected, &keep_most).unwrap();
+    execute_fused(&mut projected, &[FusedOp::Project(keep_most.clone())]).unwrap();
     let swap_node = projected
         .tree()
         .node_ids()
         .into_iter()
         .find(|&n| projected.tree().parent(n).is_some())
         .expect("a non-root node survives the projection");
-    check_fused_against_stepwise(
+    check_plan_against_oracle(
         &rep,
         &FPlan::new(vec![
             FPlanOp::Project(keep_most),

@@ -4,7 +4,8 @@
 use fdb::common::Value;
 use fdb::datagen::grocery_database;
 use fdb::engine::{FactorisedQuery, FdbEngine};
-use fdb::frep::{materialize, ops};
+use fdb::frep::materialize;
+use fdb::frep::ops::{self, execute_fused, FusedOp};
 use fdb::ftree::s_cost;
 use fdb::plan::optimal_ftree;
 use fdb::relation::RdbEngine;
@@ -65,7 +66,7 @@ fn example8_swap_regroups_by_location() {
     // down); every intermediate representation must stay equivalent.
     let mut guard = 0;
     while rep.tree().parent(location).is_some() {
-        ops::swap(&mut rep, location).unwrap();
+        execute_fused(&mut rep, &[FusedOp::Swap(location)]).unwrap();
         rep.validate().unwrap();
         assert_eq!(materialize(&rep).unwrap().tuple_set(), before);
         guard += 1;
@@ -122,11 +123,13 @@ fn constant_selection_on_factorised_q1() {
     let engine = FdbEngine::new();
     let base = engine.evaluate_flat(&g.db, &g.q1()).unwrap();
     let mut rep = base.result;
-    ops::select_const(
+    execute_fused(
         &mut rep,
-        g.attr("Orders.item"),
-        fdb::common::ComparisonOp::Eq,
-        Value::new(2), // Cheese
+        &[FusedOp::SelectConst {
+            attr: g.attr("Orders.item"),
+            op: fdb::common::ComparisonOp::Eq,
+            value: Value::new(2), // Cheese
+        }],
     )
     .unwrap();
     rep.validate().unwrap();

@@ -5,7 +5,8 @@
 use fdb::common::{ComparisonOp, Query, RelId, Value};
 use fdb::datagen::{populate, random_query, random_schema, ValueDistribution};
 use fdb::engine::FdbEngine;
-use fdb::frep::{materialize, ops, FRep};
+use fdb::frep::ops::{self, execute_fused, FusedOp};
+use fdb::frep::{materialize, FRep};
 use fdb::relation::Database;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -63,16 +64,16 @@ proptest! {
             }
             let node = *non_roots.choose(&mut rng).expect("non-empty");
             if rng.gen_bool(0.5) {
-                ops::swap(&mut rep, node).expect("swap of a non-root always applies");
+                execute_fused(&mut rep, &[FusedOp::Swap(node)]).expect("swap of a non-root always applies");
             } else if rep.tree().can_push_up(node) {
-                ops::push_up(&mut rep, node).expect("push-up applies when allowed");
+                execute_fused(&mut rep, &[FusedOp::PushUp(node)]).expect("push-up applies when allowed");
             }
             rep.validate().expect("operators preserve the invariants");
             prop_assert_eq!(materialize(&rep).expect("enumerate").tuple_set(), reference.clone());
         }
 
         let size_before = rep.size();
-        ops::normalise(&mut rep).expect("normalisation succeeds");
+        execute_fused(&mut rep, &[FusedOp::Normalise]).expect("normalisation succeeds");
         rep.validate().expect("normalisation preserves the invariants");
         prop_assert!(rep.tree().is_normalised());
         prop_assert!(rep.size() <= size_before, "normalisation never grows the representation");
@@ -107,7 +108,8 @@ proptest! {
             .map(|r| r.to_vec())
             .collect();
 
-        ops::select_const(&mut rep, attr, op, Value::new(constant)).expect("selection succeeds");
+        let selection = FusedOp::SelectConst { attr, op, value: Value::new(constant) };
+        execute_fused(&mut rep, &[selection]).expect("selection succeeds");
         rep.validate().expect("selection preserves the invariants");
         prop_assert_eq!(materialize(&rep).expect("enumerate").tuple_set(), expected);
     }
@@ -132,7 +134,7 @@ proptest! {
         let keep_vec: Vec<_> = keep.iter().copied().collect();
         let expected = before.project_distinct(&keep_vec).expect("projection").tuple_set();
 
-        ops::project(&mut rep, &keep).expect("projection succeeds");
+        execute_fused(&mut rep, &[FusedOp::Project(keep)]).expect("projection succeeds");
         rep.validate().expect("projection preserves the invariants");
         prop_assert_eq!(rep.visible_attrs(), keep_vec);
         prop_assert_eq!(materialize(&rep).expect("enumerate").tuple_set(), expected);
@@ -175,7 +177,7 @@ proptest! {
         let a_node = joined.tree().node_of_attr(a_attr).expect("present");
         let b_node = joined.tree().node_of_attr(b_attr).expect("present");
         prop_assume!(joined.tree().are_siblings(a_node, b_node));
-        ops::merge(&mut joined, a_node, b_node).expect("merge of sibling roots");
+        execute_fused(&mut joined, &[FusedOp::Merge(a_node, b_node)]).expect("merge of sibling roots");
         joined.validate().expect("merge preserves the invariants");
 
         // Reference: nested-loop join of the two flat relations.
