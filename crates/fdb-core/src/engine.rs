@@ -151,26 +151,6 @@ impl EvalStats {
         }
         out
     }
-
-    /// Accumulates another record into this one: times and counters add
-    /// (including `queries_served` and the cache counters), so a serving
-    /// report can total a whole batch.  The per-result fields (`plan`,
-    /// costs) keep this record's values — a batch has no single plan.
-    pub fn accumulate(&mut self, other: &EvalStats) {
-        self.optimisation_time += other.optimisation_time;
-        self.execution_time += other.execution_time;
-        self.result_size += other.result_size;
-        self.result_tuples += other.result_tuples;
-        self.explored_states += other.explored_states;
-        self.fused_segments += other.fused_segments;
-        self.aggregates_on_overlay += other.aggregates_on_overlay;
-        self.queries_served += other.queries_served;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.plan_cache_evictions += other.plan_cache_evictions;
-        self.chain_heads += other.chain_heads;
-        self.flat_head_fallbacks += other.flat_head_fallbacks;
-    }
 }
 
 impl fmt::Display for EvalStats {
@@ -600,12 +580,7 @@ impl FdbEngine {
             .iter()
             .map(|eq| (eq.left, eq.right))
             .collect();
-        let optimised = match self.optimizer {
-            OptimizerKind::Exhaustive => {
-                ExhaustiveOptimizer::new().optimize(rep.tree(), &equalities)?
-            }
-            OptimizerKind::Greedy => GreedyOptimizer::new().optimize(rep.tree(), &equalities)?,
-        };
+        let optimised = self.optimise_equalities(rep.tree(), &equalities)?;
         let optimisation_time = opt_start.elapsed();
         plan.extend(optimised.plan.clone());
         if let Some(proj) = &query.projection {

@@ -15,9 +15,10 @@
 //! bound to a constant by an equality selection are ignored (the only
 //! f-representation over such a node is a single singleton).
 
-use crate::ftree::{FTree, NodeId};
+use crate::ftree::{DepEdge, FTree, NodeId};
 use fdb_common::Result;
 use fdb_lp::{fractional_edge_cover, CoverInstance};
+use std::collections::HashMap;
 
 /// Cost details of one root-to-leaf path.
 #[derive(Clone, Debug)]
@@ -84,6 +85,87 @@ pub fn s_cost_details(tree: &FTree) -> Result<Vec<PathCost>> {
 pub fn s_cost(tree: &FTree) -> Result<f64> {
     let details = s_cost_details(tree)?;
     Ok(details.into_iter().map(|p| p.cost).fold(0.0, f64::max))
+}
+
+/// `s(T)` for the many trees of one optimiser search, solving each distinct
+/// path cover LP once.
+///
+/// A path's [`path_cover_instance`] is fixed by the path's non-constant
+/// classes, root first, and by the dependency edges.  The memo keys on the
+/// former and holds for trees that share the latter: swaps, merges and
+/// absorbs leave the edges alone (only projections rewrite them), so every
+/// tree one search reaches from its input qualifies.  A hit returns the value
+/// a fresh solve of the same instance returned, so [`PathCoverMemo::s_cost`]
+/// is bit-identical to [`s_cost`].
+#[derive(Debug)]
+pub struct PathCoverMemo {
+    /// The dependency edges every costed tree must carry.
+    edges: Vec<DepEdge>,
+    /// Path key (per non-constant class: its size, then its attributes) →
+    /// fractional edge cover number.
+    covers: HashMap<Vec<u32>, f64>,
+}
+
+impl PathCoverMemo {
+    /// An empty memo for trees with the dependency edges of `tree`.
+    pub fn new(tree: &FTree) -> Self {
+        PathCoverMemo {
+            edges: tree.edges().to_vec(),
+            covers: HashMap::new(),
+        }
+    }
+
+    /// `s(T)` of a tree with the memo's dependency edges.
+    pub fn s_cost(&mut self, tree: &FTree) -> Result<f64> {
+        debug_assert!(
+            tree.edges() == self.edges.as_slice(),
+            "a path cover memo serves trees with one set of dependency edges"
+        );
+        let mut cost = 0.0;
+        let (mut key, mut path) = (Vec::new(), Vec::new());
+        for &root in tree.roots() {
+            self.visit(tree, root, &mut key, &mut path, &mut cost)?;
+        }
+        Ok(cost)
+    }
+
+    /// Depth-first walk: `key` and `path` describe the non-constant nodes
+    /// from the root down to `id`'s parent; every leaf folds its path's
+    /// cover into `cost`.
+    fn visit(
+        &mut self,
+        tree: &FTree,
+        id: NodeId,
+        key: &mut Vec<u32>,
+        path: &mut Vec<NodeId>,
+        cost: &mut f64,
+    ) -> Result<()> {
+        let (key_len, path_len) = (key.len(), path.len());
+        if tree.constant(id).is_none() {
+            let class = tree.class(id);
+            key.push(class.len() as u32);
+            key.extend(class.iter().map(|a| a.0));
+            path.push(id);
+        }
+        let children = tree.children(id);
+        if children.is_empty() {
+            let cover = match self.covers.get(key.as_slice()) {
+                Some(&cover) => cover,
+                None => {
+                    let cover = fractional_edge_cover(&path_cover_instance(tree, path))?;
+                    self.covers.insert(key.clone(), cover);
+                    cover
+                }
+            };
+            *cost = f64::max(*cost, cover);
+        }
+        for &child in children {
+            self.visit(tree, child, key, path, cost)?;
+        }
+        key.truncate(key_len);
+        path.truncate(path_len);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +279,25 @@ mod tests {
         let item = t.node_of_attr(AttrId(1)).unwrap();
         t.bind_constant(item, Value::new(7)).unwrap();
         assert!(close(s_cost(&t).unwrap(), 1.0));
+    }
+
+    #[test]
+    fn memo_matches_fresh_solves_bit_for_bit() {
+        let mut bound = t1();
+        let item = bound.node_of_attr(AttrId(1)).unwrap();
+        bound.bind_constant(item, Value::new(7)).unwrap();
+        // All four trees carry the grocery edges, so one memo serves them;
+        // the second round is answered from the memo alone.
+        let trees = [t1(), t3(), t4(), bound];
+        let mut memo = PathCoverMemo::new(&trees[0]);
+        for _ in 0..2 {
+            for tree in &trees {
+                assert_eq!(
+                    memo.s_cost(tree).unwrap().to_bits(),
+                    s_cost(tree).unwrap().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

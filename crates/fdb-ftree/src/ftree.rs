@@ -30,6 +30,11 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// The canonical key of an f-tree (see [`FTree::canonical_key`]): an
+/// injective integer encoding of the tree up to child and root order.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct CanonicalKey(Vec<u32>);
+
 /// A dependency edge: a set of attributes that must lie on a single
 /// root-to-leaf path (initially the attribute set of one relation).
 #[derive(Clone, Debug, PartialEq)]
@@ -419,38 +424,52 @@ impl FTree {
     // ------------------------------------------------------------------
 
     /// A canonical, order-insensitive encoding of the forest shape and node
-    /// labels.  Two f-trees over the same attributes get the same key iff
-    /// they are equal up to reordering of children/roots — exactly the
-    /// equivalence the optimiser's search space is defined over.
-    pub fn canonical_key(&self) -> String {
-        let mut root_keys: Vec<String> = self
-            .roots
-            .iter()
-            .map(|&r| self.canonical_subtree_key(r))
-            .collect();
-        root_keys.sort();
-        root_keys.join("+")
+    /// labels.  Two f-trees get the same key iff they are equal up to
+    /// reordering of children/roots, with the same class and the same bound
+    /// constant (or none) at every node — exactly the equivalence the
+    /// optimiser's search space is defined over.  Projected-away markers and
+    /// node ids are not part of the key.
+    pub fn canonical_key(&self) -> CanonicalKey {
+        let mut words = Vec::new();
+        self.encode_forest(&self.roots, &mut words);
+        CanonicalKey(words)
     }
 
-    fn canonical_subtree_key(&self, id: NodeId) -> String {
-        let node = self.node(id);
-        let attrs: Vec<String> = node.class.iter().map(|a| a.0.to_string()).collect();
-        let mut child_keys: Vec<String> = node
-            .children
+    /// Appends the number of subtrees, then their encodings in sorted
+    /// order.  Each subtree encoding is self-delimiting, which makes the
+    /// concatenation injective.
+    fn encode_forest(&self, ids: &[NodeId], out: &mut Vec<u32>) {
+        // Counts fit in a u32: node ids are u32.
+        out.push(ids.len() as u32);
+        if let [only] = ids {
+            self.encode_subtree(*only, out);
+            return;
+        }
+        let mut parts: Vec<Vec<u32>> = ids
             .iter()
-            .map(|&c| self.canonical_subtree_key(c))
+            .map(|&id| {
+                let mut part = Vec::new();
+                self.encode_subtree(id, &mut part);
+                part
+            })
             .collect();
-        child_keys.sort();
-        let constant = match node.constant {
-            Some(v) => format!("={v}"),
-            None => String::new(),
-        };
-        format!(
-            "({}{}[{}])",
-            attrs.join(","),
-            constant,
-            child_keys.join(",")
-        )
+        parts.sort_unstable();
+        for part in parts {
+            out.extend(part);
+        }
+    }
+
+    /// Appends `|class|, class…, constant tag [, value hi, value lo]`, then
+    /// the node's children as a forest.
+    fn encode_subtree(&self, id: NodeId, out: &mut Vec<u32>) {
+        let node = self.node(id);
+        out.push(node.class.len() as u32);
+        out.extend(node.class.iter().map(|a| a.0));
+        match node.constant {
+            Some(v) => out.extend([1, (v.raw() >> 32) as u32, v.raw() as u32]),
+            None => out.push(0),
+        }
+        self.encode_forest(&node.children, out);
     }
 
     /// Renders the forest as indented ASCII, resolving attribute names via
@@ -800,6 +819,48 @@ mod tests {
         flipped.add_node(attrs(&[0]), Some(r)).unwrap();
 
         assert_ne!(chain.canonical_key(), flipped.canonical_key());
+    }
+
+    #[test]
+    fn canonical_key_distinguishes_bound_constants() {
+        let (plain, _, oid, ..) = t1();
+        let mut bound = plain.clone();
+        bound.set_constant(oid, Value::new(7));
+        let mut other_value = plain.clone();
+        other_value.set_constant(oid, Value::new(8));
+        // Values that agree in one 32-bit half only.
+        let mut high = plain.clone();
+        high.set_constant(oid, Value::new((1 << 32) | 7));
+
+        let keys = [&plain, &bound, &other_value, &high].map(FTree::canonical_key);
+        for i in 0..keys.len() {
+            for j in (i + 1)..keys.len() {
+                assert_ne!(keys[i], keys[j], "trees {i} and {j} share a key");
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_key_separates_class_boundaries() {
+        // One node {0,1} versus a chain {0} → {1}, and a forest of two
+        // roots versus one root with two children.
+        let edges = vec![DepEdge::new("R", attrs(&[0, 1, 2]), 1)];
+        let mut merged = FTree::new(edges.clone());
+        merged.add_node(attrs(&[0, 1]), None).unwrap();
+        let mut chain = FTree::new(edges.clone());
+        let r = chain.add_node(attrs(&[0]), None).unwrap();
+        chain.add_node(attrs(&[1]), Some(r)).unwrap();
+        assert_ne!(merged.canonical_key(), chain.canonical_key());
+
+        let mut forest = FTree::new(edges.clone());
+        forest.add_node(attrs(&[0]), None).unwrap();
+        forest.add_node(attrs(&[1]), None).unwrap();
+        forest.add_node(attrs(&[2]), None).unwrap();
+        let mut star = FTree::new(edges);
+        let r = star.add_node(attrs(&[0]), None).unwrap();
+        star.add_node(attrs(&[1]), Some(r)).unwrap();
+        star.add_node(attrs(&[2]), Some(r)).unwrap();
+        assert_ne!(forest.canonical_key(), star.canonical_key());
     }
 
     #[test]

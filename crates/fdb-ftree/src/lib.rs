@@ -33,8 +33,8 @@ pub mod transform;
 pub use builder::{
     dep_edges_for_query, flat_database_ftree, ftree_from_query_classes, single_path_ftree,
 };
-pub use cost::{path_cover_instance, s_cost, s_cost_details, PathCost};
+pub use cost::{path_cover_instance, s_cost, s_cost_details, PathCost, PathCoverMemo};
 #[doc(hidden)]
 pub use ftree::NodeSnapshot;
-pub use ftree::{DepEdge, FTree, NodeId};
+pub use ftree::{CanonicalKey, DepEdge, FTree, NodeId};
 pub use transform::SwapOutcome;

@@ -319,7 +319,6 @@ fn run_simplex(
 
 /// Pivots the tableau so that column `col` becomes basic in row `row`.
 fn pivot(rows: &mut [Vec<f64>], rhs: &mut [f64], basis: &mut [usize], row: usize, col: usize) {
-    let m = rows.len();
     let pivot_val = rows[row][col];
     debug_assert!(pivot_val.abs() > EPS, "pivot on a (near) zero element");
     let inv = 1.0 / pivot_val;
@@ -327,20 +326,23 @@ fn pivot(rows: &mut [Vec<f64>], rhs: &mut [f64], basis: &mut [usize], row: usize
         *v *= inv;
     }
     rhs[row] *= inv;
-    for i in 0..m {
+    // Taken out for the elimination so the other rows can be borrowed
+    // mutably beside it; put back below.
+    let pivot_row = std::mem::take(&mut rows[row]);
+    for (i, target) in rows.iter_mut().enumerate() {
         if i == row {
             continue;
         }
-        let factor = rows[i][col];
+        let factor = target[col];
         if factor.abs() <= EPS {
             continue;
         }
-        let pivot_row = rows[row].clone();
-        for (v, p) in rows[i].iter_mut().zip(pivot_row.iter()) {
+        for (v, p) in target.iter_mut().zip(pivot_row.iter()) {
             *v -= factor * p;
         }
         rhs[i] -= factor * rhs[row];
     }
+    rows[row] = pivot_row;
     basis[row] = col;
 }
 

@@ -9,12 +9,36 @@
 //! satisfy all equalities and are reachable at the minimum bottleneck cost,
 //! the one with the smallest own cost `s(T_final)` (then the shortest plan)
 //! is chosen — the lexicographic order `<_max × <_{s(T)}` of the paper.
+//!
+//! # Cost per explored state
+//!
+//! A search expands a few hundred states and prices every neighbour of
+//! each, so the per-state work is kept small:
+//!
+//! * **Memoised path covers.**  `s(T)` is the largest cover LP over `T`'s
+//!   root-to-leaf paths, and neighbouring trees share most of their paths.
+//!   A [`PathCoverMemo`] created for each `optimize` call solves every
+//!   distinct path LP once.  Its key is the exact input of the LP (the
+//!   path's non-constant classes, root first), and the dependency edges,
+//!   which only projections change, are fixed for the whole search, so a
+//!   memoised value is the value a fresh solve returns, bit for bit.
+//! * **Integer state keys.**  States are identified by
+//!   [`FTree::canonical_key`], an injective `u32` encoding of the tree up to
+//!   child order.
+//! * **A state arena.**  States live in a `Vec`; the key map and the queue
+//!   hold indices into it, so a pop borrows its state instead of cloning it.
+//!   Each state stores its own `s(T)` for goal selection.
+//!
+//! None of this changes which plan is chosen: costs are bit-identical, keys
+//! equate exactly the trees the search always equated, and the queue
+//! receives the same items in the same order with the same tie-breaks.
+//! Nothing survives between `optimize` calls.
 
 use crate::cost::FPlanCost;
 use crate::fplan::{FPlan, FPlanOp};
 use crate::optimizer::OptimizedPlan;
 use fdb_common::{AttrId, FdbError, Result};
-use fdb_ftree::{s_cost, FTree};
+use fdb_ftree::{CanonicalKey, FTree, PathCoverMemo};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -57,17 +81,20 @@ impl Ord for OrdF64 {
     }
 }
 
-#[derive(Clone)]
+/// One f-tree of the search with the best path found to it so far.
 struct State {
     tree: FTree,
     plan: Vec<FPlanOp>,
     bottleneck: f64,
+    /// `s(tree)`, kept so that goal selection does not solve it again.
+    cost: f64,
 }
 
 struct QueueItem {
     bottleneck: OrdF64,
     plan_len: usize,
-    key: String,
+    /// Index into the state arena.
+    state: usize,
 }
 
 impl PartialEq for QueueItem {
@@ -116,31 +143,34 @@ impl ExhaustiveOptimizer {
             }
         }
 
-        let initial_cost = s_cost(input_tree)?;
-        let initial = State {
+        let mut covers = PathCoverMemo::new(input_tree);
+        let initial_cost = covers.s_cost(input_tree)?;
+        // States live in an arena; `index` maps each canonical key to its
+        // slot, and a better path to a known tree replaces the slot's state
+        // in place, so queue entries stay valid and a stale one is skipped
+        // by its bottleneck.
+        let mut states = vec![State {
             tree: input_tree.clone(),
             plan: Vec::new(),
             bottleneck: initial_cost,
-        };
-        let initial_key = input_tree.canonical_key();
-
-        let mut best: HashMap<String, State> = HashMap::new();
+            cost: initial_cost,
+        }];
+        let mut index: HashMap<CanonicalKey, usize> =
+            HashMap::from([(input_tree.canonical_key(), 0)]);
         let mut heap: BinaryHeap<QueueItem> = BinaryHeap::new();
         heap.push(QueueItem {
-            bottleneck: OrdF64(initial.bottleneck),
+            bottleneck: OrdF64(initial_cost),
             plan_len: 0,
-            key: initial_key.clone(),
+            state: 0,
         });
-        best.insert(initial_key, initial);
 
         let mut explored = 0usize;
-        let mut goals: Vec<State> = Vec::new();
+        // (s(T), plan) of every goal popped, in pop order.
+        let mut goals: Vec<(f64, Vec<FPlanOp>)> = Vec::new();
         let mut goal_bottleneck: Option<f64> = None;
 
         while let Some(item) = heap.pop() {
-            let Some(state) = best.get(&item.key).cloned() else {
-                continue;
-            };
+            let state = &states[item.state];
             // Skip stale queue entries.
             if item.bottleneck.0 > state.bottleneck + 1e-9 {
                 continue;
@@ -164,37 +194,52 @@ impl ExhaustiveOptimizer {
 
             if Self::is_goal(&state.tree, equalities) {
                 goal_bottleneck.get_or_insert(state.bottleneck);
-                goals.push(state);
+                goals.push((state.cost, state.plan.clone()));
                 continue;
             }
 
+            let (from_bottleneck, plan_len) = (state.bottleneck, state.plan.len() + 1);
             for (op, next_tree) in Self::neighbours(&state.tree, equalities)? {
-                let next_cost = s_cost(&next_tree)?;
-                let bottleneck = state.bottleneck.max(next_cost);
+                let cost = covers.s_cost(&next_tree)?;
+                let bottleneck = from_bottleneck.max(cost);
                 let key = next_tree.canonical_key();
-                let mut plan = state.plan.clone();
+                let slot = index.get(&key).copied();
+                let replace = match slot {
+                    None => true,
+                    Some(i) => {
+                        let existing = &states[i];
+                        bottleneck + 1e-9 < existing.bottleneck
+                            || (bottleneck < existing.bottleneck + 1e-9
+                                && plan_len < existing.plan.len())
+                    }
+                };
+                if !replace {
+                    continue;
+                }
+                let mut plan = states[item.state].plan.clone();
                 plan.push(op);
                 let candidate = State {
                     tree: next_tree,
                     plan,
                     bottleneck,
+                    cost,
                 };
-                let replace = match best.get(&key) {
-                    None => true,
-                    Some(existing) => {
-                        bottleneck + 1e-9 < existing.bottleneck
-                            || (bottleneck < existing.bottleneck + 1e-9
-                                && candidate.plan.len() < existing.plan.len())
+                let slot = match slot {
+                    Some(i) => {
+                        states[i] = candidate;
+                        i
+                    }
+                    None => {
+                        states.push(candidate);
+                        index.insert(key, states.len() - 1);
+                        states.len() - 1
                     }
                 };
-                if replace {
-                    heap.push(QueueItem {
-                        bottleneck: OrdF64(candidate.bottleneck),
-                        plan_len: candidate.plan.len(),
-                        key: key.clone(),
-                    });
-                    best.insert(key, candidate);
-                }
+                heap.push(QueueItem {
+                    bottleneck: OrdF64(bottleneck),
+                    plan_len,
+                    state: slot,
+                });
             }
         }
 
@@ -205,23 +250,21 @@ impl ExhaustiveOptimizer {
         };
         // Among the minimum-bottleneck goals pick the one with the smallest
         // final cost, then the shortest plan.
-        let mut chosen: Option<(State, f64)> = None;
-        for goal in goals {
-            let final_cost = s_cost(&goal.tree)?;
+        let mut chosen: Option<(f64, Vec<FPlanOp>)> = None;
+        for (final_cost, plan) in goals {
             let better = match &chosen {
                 None => true,
-                Some((existing, existing_final)) => {
+                Some((existing_final, existing)) => {
                     final_cost + 1e-9 < *existing_final
-                        || (final_cost < existing_final + 1e-9
-                            && goal.plan.len() < existing.plan.len())
+                        || (final_cost < existing_final + 1e-9 && plan.len() < existing.len())
                 }
             };
             if better {
-                chosen = Some((goal, final_cost));
+                chosen = Some((final_cost, plan));
             }
         }
-        let (goal, _) = chosen.expect("at least one goal collected");
-        let plan = FPlan::new(goal.plan);
+        let (_, plan) = chosen.expect("at least one goal collected");
+        let plan = FPlan::new(plan);
         let cost = crate::cost::plan_cost(&plan, input_tree)?;
         Ok(OptimizedPlan {
             plan,
@@ -282,8 +325,8 @@ pub type PlanCost = FPlanCost;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_ftree::DepEdge;
-    use std::collections::BTreeSet;
+    use fdb_ftree::{s_cost, DepEdge};
+    use std::collections::{BTreeSet, HashSet};
 
     fn attrs(ids: &[u32]) -> BTreeSet<AttrId> {
         ids.iter().map(|&i| AttrId(i)).collect()
@@ -383,6 +426,50 @@ mod tests {
         assert!(ExhaustiveOptimizer::new()
             .optimize(&tree, &[(AttrId(1), AttrId(77))])
             .is_err());
+    }
+
+    #[test]
+    fn memoised_costs_match_fresh_solves_on_every_reachable_tree() {
+        // Four relations shaped like the combinatorial database, with one
+        // class bound to a constant; every tree the search can reach from
+        // either input must get the bit-identical s(T) from the memo.
+        let edges = vec![
+            DepEdge::new("R0", attrs(&[0, 1]), 64),
+            DepEdge::new("R1", attrs(&[2, 3]), 64),
+            DepEdge::new("R2", attrs(&[4, 5, 6]), 512),
+            DepEdge::new("R3", attrs(&[7, 8, 9]), 512),
+        ];
+        let mut tree = FTree::new(edges);
+        let a02 = tree.add_node(attrs(&[0, 2]), None).unwrap();
+        tree.add_node(attrs(&[1]), Some(a02)).unwrap();
+        let a3 = tree.add_node(attrs(&[3]), Some(a02)).unwrap();
+        let a4 = tree.add_node(attrs(&[4]), None).unwrap();
+        let a5 = tree.add_node(attrs(&[5]), Some(a4)).unwrap();
+        tree.add_node(attrs(&[6]), Some(a5)).unwrap();
+        let a7 = tree.add_node(attrs(&[7]), None).unwrap();
+        let a8 = tree.add_node(attrs(&[8]), Some(a7)).unwrap();
+        tree.add_node(attrs(&[9]), Some(a8)).unwrap();
+        let mut bound = tree.clone();
+        bound.bind_constant(a3, fdb_common::Value::new(5)).unwrap();
+        let equalities = [(AttrId(1), AttrId(5)), (AttrId(3), AttrId(8))];
+
+        for input in [tree, bound, example11_tree()] {
+            let mut covers = PathCoverMemo::new(&input);
+            let mut seen = HashSet::from([input.canonical_key()]);
+            let mut frontier = vec![input];
+            while let Some(tree) = frontier.pop() {
+                assert_eq!(
+                    covers.s_cost(&tree).unwrap().to_bits(),
+                    s_cost(&tree).unwrap().to_bits()
+                );
+                for (_, next) in ExhaustiveOptimizer::neighbours(&tree, &equalities).unwrap() {
+                    if seen.insert(next.canonical_key()) {
+                        frontier.push(next);
+                    }
+                }
+            }
+            assert!(seen.len() > 50, "only {} trees reached", seen.len());
+        }
     }
 
     #[test]
